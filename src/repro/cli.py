@@ -21,13 +21,19 @@ Drives the full pipeline from spec files in the text format of
     $ python -m repro.cli metrics --cluster http://127.0.0.1:8321
     $ python -m repro.cli top http://127.0.0.1:8321 --interval 1
     $ python -m repro.cli trace show spans.jsonl --limit 3 --since 2026-08-08
+
+Exit codes: ``verify`` 0 when secure and 2 when an attack exists,
+``synthesize`` 0 with an architecture and 1 without one, and 3 for an
+input the CLI cannot use (an unreadable or malformed spec file, or an
+argument the parser rejects), reported as one ``repro: error: ...`` line
+on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from repro.analysis.security_metrics import security_metrics
 from repro.core.io import load_spec_file, write_spec
@@ -42,6 +48,36 @@ from repro.core.synthesis import (
 )
 from repro.grid.cases import available_cases, load_case
 from repro.runtime import ResultCache, RuntimeOptions, verify_many
+
+INPUT_ERROR = 3
+
+
+class InputError(Exception):
+    """An input the CLI cannot use; :func:`main` reports it and exits 3."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an input error (exit 3, not argparse's 2)."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(INPUT_ERROR, f"repro: error: {message}\n")
+
+
+def _load_spec(path: str) -> AttackSpec:
+    try:
+        return load_spec_file(path)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # SpecParseError, or a spec that fails validation
+        raise InputError(f"{path}: {exc}") from None
+
+
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return int(text)
 
 
 def _runtime_options(args: argparse.Namespace) -> RuntimeOptions:
@@ -89,10 +125,12 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_cases(args: argparse.Namespace) -> int:
-    for name in available_cases():
+    names = available_cases()
+    width = max(map(len, names))
+    for name in names:
         grid = load_case(name)
         print(
-            f"{name:<10} {grid.num_buses:>4} buses {grid.num_lines:>4} lines "
+            f"{name:<{width}} {grid.num_buses:>4} buses {grid.num_lines:>4} lines "
             f"avg degree {grid.average_degree():.2f}"
         )
     return 0
@@ -106,7 +144,7 @@ def _cmd_template(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    specs = [load_spec_file(path) for path in args.specfile]
+    specs = [_load_spec(path) for path in args.specfile]
     results = verify_many(specs, _runtime_options(args))
     any_attack = False
     for path, spec, result in zip(args.specfile, specs, results):
@@ -118,7 +156,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
-    specs = [load_spec_file(path) for path in args.specfile]
+    specs = [_load_spec(path) for path in args.specfile]
     settings = SynthesisSettings(
         max_secured_buses=args.budget,
         excluded_buses=frozenset(args.exclude or []),
@@ -127,8 +165,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     )
     if args.enumerate:
         if len(specs) > 1:
-            print("--enumerate supports a single spec file", file=sys.stderr)
-            return 1
+            raise InputError("--enumerate supports a single spec file")
         architectures = enumerate_architectures(specs[0], settings, limit=args.enumerate)
         if not architectures:
             print("no architecture within the budget resists the attack model")
@@ -140,8 +177,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         try:
             result = synthesize_against_all(specs, settings, jobs=args.jobs)
         except ValueError as exc:  # e.g. specs over different grids
-            print(exc, file=sys.stderr)
-            return 1
+            raise InputError(str(exc)) from None
     else:
         result = synthesize_architecture(specs[0], settings)
     print(format_synthesis(result, specs[0]))
@@ -149,7 +185,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def _cmd_mincost(args: argparse.Namespace) -> int:
-    spec = load_spec_file(args.specfile)
+    spec = _load_spec(args.specfile)
     if not (spec.goal.target_states or spec.goal.any_state):
         print("spec has no attack goal; add a 'target' line", file=sys.stderr)
         return 1
@@ -171,7 +207,7 @@ def _cmd_mincost(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     if args.specfile is None:
         return _cmd_metrics_registry(args)
-    spec = load_spec_file(args.specfile)
+    spec = _load_spec(args.specfile)
     report = security_metrics(spec, backend=args.backend, runtime=_runtime_options(args))
     print("state attack costs (smaller = weaker):")
     for bus in sorted(report.state_costs):
@@ -279,7 +315,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.core.verification import verify_attack
     from repro.smt.solver import engine_signature
 
-    spec = load_spec_file(args.specfile)
+    spec = _load_spec(args.specfile)
     portfolio_mode = getattr(args, "portfolio", False)
     if portfolio_mode:
         from repro.runtime.portfolio import parse_portfolio_mode, race_configs
@@ -528,7 +564,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="UFDI threat analytics and countermeasure synthesis",
     )
@@ -555,7 +591,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="spec file(s); several files synthesize one architecture "
         "resisting every listed attack model",
     )
-    p.add_argument("--budget", type=int, required=True, help="max secured buses")
+    p.add_argument(
+        "--budget", type=_non_negative_int, required=True, help="max secured buses"
+    )
     _add_runtime_flags(p)
     p.add_argument("--exclude", type=int, nargs="*", help="operator-unsecurable buses")
     p.add_argument(
@@ -808,9 +846,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.estimation.wls import StateEstimate, gain_matrix, wls_estimate
 
@@ -42,6 +41,8 @@ def chi_square_threshold(dof: int, alpha: float = 0.01) -> float:
     """The detection threshold tau at significance level ``alpha``."""
     if dof <= 0:
         raise ValueError("chi-square test needs positive degrees of freedom")
+    from scipy import stats
+
     return float(stats.chi2.ppf(1.0 - alpha, dof))
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import linalg as scipy_linalg
 
 
 class UnobservableSystemError(ValueError):
@@ -135,6 +134,8 @@ class WlsEstimator:
         return digest.hexdigest()
 
     def _factorize(self, h: np.ndarray, w: np.ndarray) -> _GainFactorization:
+        from scipy import linalg as scipy_linalg
+
         m, n = h.shape
         sqrt_w = np.sqrt(w)
         rank = np.linalg.matrix_rank(h * sqrt_w[:, None], tol=self.rank_tol)
@@ -146,7 +147,7 @@ class WlsEstimator:
         gain = hw @ h
         try:
             cho = scipy_linalg.cho_factor(gain)
-        except scipy_linalg.LinAlgError as exc:  # pragma: no cover - rank guard above
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - rank guard above
             raise UnobservableSystemError(f"gain matrix not positive definite: {exc}")
         return _GainFactorization(h=h, w=w, hw=hw, cho=cho, dof=m - n)
 
@@ -193,6 +194,8 @@ class WlsEstimator:
         tuple(taken))``).  Without it a content hash of H/weights is
         used, which is still far cheaper than refactorizing.
         """
+        from scipy import linalg as scipy_linalg
+
         factorization = self.factorization(h, weights, key=key)
         z = np.asarray(z, dtype=float)
         m = factorization.h.shape[0]

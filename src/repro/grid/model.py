@@ -13,9 +13,10 @@ The conventions follow the paper's Section III-A:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,8 @@ class Grid:
     # ------------------------------------------------------------------
     def graph(self, line_indices: Optional[Iterable[int]] = None) -> nx.MultiGraph:
         """Networkx view (optionally restricted to a line subset)."""
+        import networkx as nx
+
         g = nx.MultiGraph()
         g.add_nodes_from(self.buses)
         selected = (
@@ -137,10 +140,14 @@ class Grid:
         return g
 
     def is_connected(self, line_indices: Optional[Iterable[int]] = None) -> bool:
+        import networkx as nx
+
         return nx.is_connected(self.graph(line_indices))
 
     def islands(self, line_indices: Optional[Iterable[int]] = None) -> List[set]:
         """Connected components under the given line subset."""
+        import networkx as nx
+
         return [set(c) for c in nx.connected_components(self.graph(line_indices))]
 
     def restrict(self, line_indices: Iterable[int], name: str = "") -> "Grid":

@@ -16,85 +16,3 @@ runtime, verification sessions, SMT solver):
 See ``docs/OBSERVABILITY.md`` for the metric catalog, the span tree of
 a verify request, the log schema and scrape examples.
 """
-
-from repro.obs.flight import (
-    FlightRecorder,
-    NoopFlightRecorder,
-    configure_flight,
-    get_flight_recorder,
-)
-from repro.obs.logging import (
-    StructuredLogger,
-    add_log_listener,
-    configure_logging,
-    get_logger,
-    remove_log_listener,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    counter,
-    gauge,
-    get_registry,
-    histogram,
-    record_build_info,
-)
-from repro.obs.slo import (
-    BurnWindow,
-    SloConfig,
-    SloEvaluator,
-    SloObjective,
-    load_slo_config,
-)
-from repro.obs.trace import (
-    NoopTracer,
-    Span,
-    SpanContext,
-    Tracer,
-    configure_tracing,
-    context_from_payload,
-    context_payload,
-    current_context,
-    get_tracer,
-    set_tracer,
-    tracing_enabled,
-)
-
-__all__ = [
-    "BurnWindow",
-    "Counter",
-    "FlightRecorder",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NoopFlightRecorder",
-    "NoopTracer",
-    "SloConfig",
-    "SloEvaluator",
-    "SloObjective",
-    "Span",
-    "SpanContext",
-    "StructuredLogger",
-    "Tracer",
-    "add_log_listener",
-    "configure_flight",
-    "configure_logging",
-    "configure_tracing",
-    "context_from_payload",
-    "context_payload",
-    "counter",
-    "current_context",
-    "gauge",
-    "get_flight_recorder",
-    "get_logger",
-    "get_registry",
-    "get_tracer",
-    "histogram",
-    "load_slo_config",
-    "record_build_info",
-    "remove_log_listener",
-    "set_tracer",
-    "tracing_enabled",
-]

@@ -39,6 +39,13 @@ class TestCases:
         for name in ("ieee14", "ieee300"):
             assert name in out
 
+    def test_columns_line_up(self, capsys):
+        assert main(["cases"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("synthetic3000 ") for line in lines)
+        for column in ("buses", "lines", "avg degree"):
+            assert len({line.index(column) for line in lines}) == 1, column
+
 
 class TestTemplate:
     def test_emits_parseable_spec(self, capsys):
@@ -211,6 +218,44 @@ class TestProfile:
     def test_portfolio_rejects_backend_race(self, spec_file, capsys):
         assert main(["profile", spec_file, "--portfolio", "backends"]) == 2
         assert "only supports" in capsys.readouterr().err
+
+
+class TestInputErrors:
+    """Unusable input: one ``repro: error:`` line on stderr and exit 3."""
+
+    @pytest.mark.parametrize("command", ["verify", "mincost", "metrics", "profile"])
+    def test_missing_spec_file(self, command, tmp_path, capsys):
+        missing = tmp_path / "missing.spec"
+        assert main([command, str(missing)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"repro: error: {missing}: No such file or directory\n"
+        assert captured.out == ""
+
+    def test_malformed_spec_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.spec"
+        path.write_text("buses 3\nbogus 1 2\n")
+        assert main(["synthesize", str(path), "--budget", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: error: {path}: line 2: ")
+        assert err.count("\n") == 1
+
+    def test_negative_budget_rejected_by_parser(self, spec_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synthesize", spec_file, "--budget", "-1"])
+        assert exc.value.code == 3
+        assert capsys.readouterr().err == (
+            "repro: error: argument --budget: "
+            "expected a non-negative integer, got '-1'\n"
+        )
+
+    def test_zero_budget_still_accepted(self, spec_file, capsys):
+        # 0 is a real budget: with no secured bus the attack goes through
+        assert main(["synthesize", spec_file, "--budget", "0"]) == 1
+
+    def test_multi_spec_enumerate_is_an_input_error(self, spec_file, capsys):
+        args = ["synthesize", spec_file, spec_file, "--budget", "2", "--enumerate", "2"]
+        assert main(args) == 3
+        assert "--enumerate supports a single spec file" in capsys.readouterr().err
 
 
 class TestServe:
