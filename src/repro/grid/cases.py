@@ -11,8 +11,8 @@ DESIGN.md for the substitution rationale) — the paper's scalability
 experiments depend only on problem size and degree structure.
 ``synthetic1000``/``synthetic2000``/``synthetic3000`` extend the
 scaling ladder past the published systems at the same ~3 average
-degree (1.5 lines per bus), for the Fig. 4/5-style large-grid
-campaign in ``benchmarks/bench_scaling.py``.
+degree (1.5 lines per bus), for Fig. 4/5-style large-grid runs such
+as the ``ladder`` workload of ``benchmarks/e2e``.
 """
 
 from __future__ import annotations

@@ -195,7 +195,6 @@ def _exact_theory_check(cnf, assignment: Sequence[bool]):
     Returns a dict ``real_index -> Fraction`` when consistent, or the
     list of conflicting atom literals otherwise.
     """
-    from repro.smt.simplex import DeltaRational, Simplex
     from repro.smt.theory import LraTheory
 
     theory = LraTheory()

@@ -296,30 +296,23 @@ def race_backends(
 # cooperative configuration race
 # ----------------------------------------------------------------------
 @contextmanager
-def _engine_env(config_token: Optional[str], sat_kernel: Optional[str]):
-    """Temporarily pin REPRO_SAT_CONFIG / REPRO_SAT_KERNEL.
+def _engine_env(config_token: str):
+    """Temporarily pin REPRO_SAT_CONFIG.
 
     Used around in-process encoder construction only (solo replay and
     the sequential fallback); the parent's environment is restored
     immediately so its engine signature — and every cache fingerprint
     computed afterwards — is untouched.
     """
-    saved = {
-        key: os.environ.get(key)
-        for key in ("REPRO_SAT_CONFIG", "REPRO_SAT_KERNEL")
-    }
+    saved = os.environ.get("REPRO_SAT_CONFIG")
     try:
-        if config_token is not None:
-            os.environ["REPRO_SAT_CONFIG"] = config_token
-        if sat_kernel is not None:
-            os.environ["REPRO_SAT_KERNEL"] = sat_kernel
+        os.environ["REPRO_SAT_CONFIG"] = config_token
         yield
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop("REPRO_SAT_CONFIG", None)
+        else:
+            os.environ["REPRO_SAT_CONFIG"] = saved
 
 
 def _result_from_check(
@@ -388,7 +381,6 @@ def _config_child(
     payload_json: str,
     token: str,
     epsilon: Optional[str],
-    sat_kernel: Optional[str],
     index: int,
     out,
     imports,
@@ -398,8 +390,6 @@ def _config_child(
 
     try:
         os.environ["REPRO_SAT_CONFIG"] = token
-        if sat_kernel is not None:
-            os.environ["REPRO_SAT_KERNEL"] = sat_kernel
         # deterministic-test hooks, mirroring the backend race
         if os.environ.get("REPRO_RACE_STALL") == f"config:{index}":
             time.sleep(120.0)
@@ -456,11 +446,10 @@ def _solo_config_solve(
     spec: AttackSpec,
     config: SolverConfig,
     epsilon: Epsilon,
-    sat_kernel: Optional[str],
 ) -> VerificationResult:
     """In-process solve of one configuration, no exchange."""
     start = time.perf_counter()
-    with _engine_env(config.token(), sat_kernel):
+    with _engine_env(config.token()):
         encoder = UfdiEncoder(spec, epsilon=epsilon)
     check_result = encoder.check()
     return _result_from_check(
@@ -472,13 +461,12 @@ def _sequential_config_race(
     spec: AttackSpec,
     configs: Sequence[SolverConfig],
     epsilon: Epsilon,
-    sat_kernel: Optional[str],
     capture: Optional[dict],
 ) -> VerificationResult:
     """Fallback when process spawning is unavailable: no cooperation."""
     last: Optional[VerificationResult] = None
     for config in configs:
-        result = _solo_config_solve(spec, config, epsilon, sat_kernel)
+        result = _solo_config_solve(spec, config, epsilon)
         result.statistics["portfolio"] = 1
         result.statistics["portfolio_mode"] = "configs"
         result.statistics["portfolio_size"] = len(configs)
@@ -502,7 +490,6 @@ def race_configs(
     configs: Optional[Sequence[SolverConfig]] = None,
     epsilon: Epsilon = None,
     timeout: Optional[float] = None,
-    sat_kernel: Optional[str] = None,
     capture: Optional[dict] = None,
     collect_all: bool = False,
 ) -> VerificationResult:
@@ -532,7 +519,7 @@ def race_configs(
         raise ValueError(f"duplicate solver configurations: {tokens}")
 
     if len(configs) == 1:
-        result = _solo_config_solve(spec, configs[0], epsilon, sat_kernel)
+        result = _solo_config_solve(spec, configs[0], epsilon)
         result.statistics["portfolio"] = 1
         result.statistics["portfolio_mode"] = "configs"
         result.statistics["portfolio_size"] = 1
@@ -559,7 +546,6 @@ def race_configs(
                     payload_json,
                     tokens[index],
                     epsilon_str,
-                    sat_kernel,
                     index,
                     results_queue,
                     import_queues[index],
@@ -571,7 +557,7 @@ def race_configs(
         for child in children:
             child.start()
     except (OSError, ValueError):
-        return _sequential_config_race(spec, configs, epsilon, sat_kernel, capture)
+        return _sequential_config_race(spec, configs, epsilon, capture)
 
     winner: Optional[VerificationResult] = None
     winner_index: Optional[int] = None
@@ -691,7 +677,6 @@ def replay_config_solo(
     config: Union[SolverConfig, str],
     import_log: Sequence[Tuple[int, Sequence[int]]],
     epsilon: Epsilon = None,
-    sat_kernel: Optional[str] = None,
 ) -> VerificationResult:
     """Solo re-solve of one configuration with a recorded import schedule.
 
@@ -707,7 +692,7 @@ def replay_config_solo(
     if isinstance(config, str):
         config = SolverConfig.from_token(config)
     start = time.perf_counter()
-    with _engine_env(config.token(), sat_kernel):
+    with _engine_env(config.token()):
         encoder = UfdiEncoder(spec, epsilon=epsilon)
     encoder.solver.set_clause_exchange(
         ScriptedExchange(

@@ -66,27 +66,6 @@ def luby(i: int) -> int:
 #: restart policies a :class:`SolverConfig` may select
 RESTART_POLICIES = ("luby", "geometric")
 
-#: selectable BCP implementations: ``python`` is the tuned scalar loop,
-#: ``vec`` stores clauses as numpy int64 arrays and batches the
-#: false-literal scan — bit-identical search, same stats trace
-SAT_KERNELS = ("python", "vec")
-
-_np = None  # lazily imported numpy module (vec kernel only)
-
-
-def _ensure_numpy():
-    global _np
-    if _np is None:
-        try:
-            import numpy
-        except ImportError as exc:  # pragma: no cover - numpy is baked in
-            raise RuntimeError(
-                "REPRO_SAT_KERNEL=vec requires numpy; install it or use "
-                "the 'python' kernel"
-            ) from exc
-        _np = numpy
-    return _np
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -255,18 +234,8 @@ class ScriptedExchange:
 class SatSolver:
     """CDCL solver; see module docstring."""
 
-    def __init__(
-        self,
-        config: Optional[SolverConfig] = None,
-        kernel: str = "python",
-    ) -> None:
-        if kernel not in SAT_KERNELS:
-            raise ValueError(
-                f"unknown SAT kernel {kernel!r}; "
-                f"valid kernels: {', '.join(SAT_KERNELS)}"
-            )
+    def __init__(self, config: Optional[SolverConfig] = None) -> None:
         self.config = config if config is not None else SolverConfig()
-        self.kernel = kernel
         #: decision-seed RNG: perturbs fresh-variable activities by a
         #: tiny reproducible amount so equal-activity ties break in a
         #: config-specific (but deterministic) order
@@ -298,13 +267,6 @@ class SatSolver:
         self.var_decay = 1.0 / self.config.decay
         self._heap: List[tuple[float, int]] = []
         self.default_phase = self.config.phase
-        # vec kernel: int8 mirror of `assign` for batched tail scans;
-        # clauses become numpy int64 arrays (see _store_clause/_bcp_vec)
-        self._assign_np = None
-        if kernel == "vec":
-            np = _ensure_numpy()
-            self._assign_np = np.zeros(1, dtype=np.int8)
-            self._bcp = self._bcp_vec  # type: ignore[method-assign]
         # learned-clause exchange (portfolio cooperation); disabled
         # unless set_exchange() installs a transport
         self.exchange: Optional[ClauseExchange] = None
@@ -359,11 +321,6 @@ class SatSolver:
             self._rng.random() * 1e-6 if self._rng is not None else 0.0
         )
         self.saved_phase.append(self.default_phase)
-        if self._assign_np is not None and self.num_vars >= len(self._assign_np):
-            np = _np
-            grown = np.zeros(max(16, 2 * len(self._assign_np)), dtype=np.int8)
-            grown[: len(self._assign_np)] = self._assign_np
-            self._assign_np = grown
         self._heap_push(self.num_vars)
         return self.num_vars
 
@@ -408,16 +365,12 @@ class SatSolver:
         if len(out) == 1:
             self._enqueue(out[0], None)
             return True
-        stored = self._store_clause(out)
+        # store an exact-size copy: `out` grew by appends and carries
+        # spare capacity, which adds up over ~10^5 clauses on large grids
+        stored = list(out)
         self.clauses.append(stored)
         self._watch(stored)
         return True
-
-    def _store_clause(self, lits: Sequence[int]) -> List[int]:
-        """Clause storage for the active kernel (list vs int64 array)."""
-        if self._assign_np is not None:
-            return _np.array(lits, dtype=_np.int64)  # type: ignore[return-value]
-        return list(lits)
 
     def _watch_index(self, lit: int) -> int:
         return ((lit << 1) if lit > 0 else (-lit << 1)) | (lit < 0)
@@ -433,8 +386,6 @@ class SatSolver:
         var = abs(lit)
         value = 1 if lit > 0 else -1
         self.assign[var] = value
-        if self._assign_np is not None:
-            self._assign_np[var] = value
         self.level[var] = self.decision_level()
         self.reason[var] = reason
         self.trail.append(lit)
@@ -443,14 +394,11 @@ class SatSolver:
         if self.decision_level() <= target_level:
             return
         bound = self.trail_lim[target_level]
-        anp = self._assign_np
         for i in range(len(self.trail) - 1, bound - 1, -1):
             lit = self.trail[i]
             var = abs(lit)
             self.saved_phase[var] = lit > 0
             self.assign[var] = 0
-            if anp is not None:
-                anp[var] = 0
             self.reason[var] = None
             self._heap_push(var)
         del self.trail[bound:]
@@ -535,87 +483,6 @@ class SatSolver:
                 j += 1
                 if self.value(first) == -1:
                     # conflict: keep remaining watches in place
-                    while i < n:
-                        watchlist[j] = watchlist[i]
-                        j += 1
-                        i += 1
-                    del watchlist[j:]
-                    return clause
-                self._enqueue(first, clause)
-            del watchlist[j:]
-        return None
-
-    def _bcp_vec(self) -> Optional[List[int]]:
-        """Vectorized unit propagation (``kernel="vec"``).
-
-        Same control flow as :meth:`_bcp`, with clauses stored as numpy
-        int64 arrays so the false-literal scan over ``clause[2:]`` runs
-        as one batched index + compare instead of a Python loop.  The
-        replacement watch picked is the *first* non-false tail literal —
-        exactly the literal the scalar loop would pick — so watch-list
-        evolution, propagation order, conflicts, and therefore the whole
-        search are bit-identical to the Python kernel.
-        """
-        np = _np
-        anp = self._assign_np
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            self.stats["propagations"] += 1
-            watchlist = self.watches[
-                ((lit << 1) if lit > 0 else (-lit << 1)) | (lit < 0)
-            ]
-            if not watchlist:
-                continue
-            i = 0
-            j = 0
-            n = len(watchlist)
-            while i < n:
-                clause = watchlist[i]
-                i += 1
-                neg = -lit
-                if clause[0] == neg:
-                    clause[0], clause[1] = clause[1], clause[0]
-                first = int(clause[0])
-                if self.assign[abs(first)] == (1 if first > 0 else -1):
-                    watchlist[j] = clause
-                    j += 1
-                    continue
-                found = False
-                size = len(clause)
-                if size >= 6:
-                    # batched scan: value of each tail literal under the
-                    # int8 assignment mirror; first entry != -1 is the
-                    # same literal the scalar loop stops at
-                    tail = clause[2:]
-                    av = anp[np.abs(tail)]
-                    adj = np.where(tail > 0, av, -av)
-                    hits = np.flatnonzero(adj != -1)
-                    if hits.size:
-                        k = int(hits[0]) + 2
-                        other = int(clause[k])
-                        clause[1], clause[k] = other, neg
-                        self.watches[
-                            ((-other << 1) if other < 0 else (other << 1))
-                            | (other > 0)
-                        ].append(clause)
-                        found = True
-                else:
-                    for k in range(2, size):
-                        other = int(clause[k])
-                        if self.value(other) != -1:
-                            clause[1], clause[k] = other, neg
-                            self.watches[
-                                ((-other << 1) if other < 0 else (other << 1))
-                                | (other > 0)
-                            ].append(clause)
-                            found = True
-                            break
-                if found:
-                    continue
-                watchlist[j] = clause
-                j += 1
-                if self.value(first) == -1:
                     while i < n:
                         watchlist[j] = watchlist[i]
                         j += 1
@@ -786,20 +653,18 @@ class SatSolver:
             if size <= self.export_size_cap and (
                 size == 1 or self._last_lbd <= self.export_lbd_cap
             ):
-                self._export_pending.append(tuple(int(q) for q in learnt))
+                self._export_pending.append(tuple(learnt))
         if len(learnt) == 1:
-            self._enqueue(int(learnt[0]), None)
+            self._enqueue(learnt[0], None)
         else:
-            stored = self._store_clause(learnt)
+            stored = list(learnt)  # exact-size copy, as in add_clause
             self.learnts.append(stored)
             self._watch(stored)
-            self._enqueue(int(learnt[0]), stored)
+            self._enqueue(learnt[0], stored)
 
     def _reduce_db(self) -> None:
         """Drop the longer half of non-reason learned clauses."""
         locked = {
-            # `is not None`, not truthiness: vec-kernel reasons are numpy
-            # arrays, whose bool() raises for length > 1
             id(self.reason[abs(l)])
             for l in self.trail
             if self.reason[abs(l)] is not None
@@ -896,9 +761,8 @@ class SatSolver:
         if len(out) == 1:
             self._enqueue(out[0], None)
             return
-        stored = self._store_clause(out)
-        self.learnts.append(stored)
-        self._watch(stored)
+        self.learnts.append(out)
+        self._watch(out)
 
     def _final_core(self, failing_lit: int) -> List[int]:
         """Final-conflict analysis (MiniSat's ``analyzeFinal``).

@@ -8,42 +8,30 @@ retracted incrementally as the SAT core walks its trail; ``check``
 restores the invariant that every basic variable lies within its bounds
 or reports a minimal conflicting set of bound literals.
 
-Three engines share this interface:
+Two engines share this interface:
 
-* :class:`SparseSimplex` (the default) extends the integer kernel with
-  sparse *control flow*: a ``_violated`` set tracks exactly the basic
-  variables outside their bounds, maintained incrementally at every
-  assignment/bound/backtrack mutation, so a quiescent ``check`` is O(1)
+* :class:`Simplex` is the production engine.  It keeps every tableau row
+  as integer numerators over one per-row denominator and every
+  assignment/bound as an integer triple ``(rn, kn, d)`` denoting
+  ``(rn + kn*delta)/d`` with ``d > 0``, so additions and comparisons are
+  integer multiply/adds; GCD normalization runs lazily, only when a
+  denominator outgrows ``_NORM_LIMIT``.  It tracks the basic variables
+  outside their bounds incrementally, so a quiescent ``check`` is O(1)
   instead of a full tableau scan — the scan is what goes quadratic in
-  grid size, since the SAT core checks the theory at every BCP fixpoint
-  (thousands of calls over hundreds-to-thousands of rows on the
-  300-3000 bus systems).  It also runs eta-file-style deferred row
-  maintenance: every ``_REFACTOR_INTERVAL`` pivots a refactorization
-  sweep GCD-renormalizes rows and assignments whose denominators grew
-  past ``_SPARSE_NORM_LIMIT``, generalizing the per-operation
-  ``_NORM_LIMIT`` lazy-GCD scheme.  Both are value-preserving and keep
-  Bland pivot selection untouched, so verdicts, models, cores and
-  search traces stay bit-identical to the other two engines.
-* :class:`Simplex` keeps every tableau row as integer numerators over
-  one per-row denominator and every assignment/bound as an integer
-  triple ``(rn, kn, d)`` denoting ``(rn + kn*delta)/d`` with ``d > 0``.
-  Additions and comparisons are integer multiply/adds; GCD
-  normalization runs lazily, only when a denominator outgrows
-  ``_NORM_LIMIT`` — instead of on every operation as
-  :class:`fractions.Fraction` does.  Pivot selection (Bland's smallest
-  index rule) and the concretization of delta are unchanged, so verdicts
-  and models are bit-identical to the reference engine.  Selectable via
-  ``Solver(kernel="int")``.
+  grid size, since the SAT core checks the theory at every BCP fixpoint.
 * :class:`ReferenceSimplex` is the original per-operation ``Fraction``
   implementation, retained as the property-test oracle
   (``tests/smt/test_kernel_equivalence.py``) and selectable via
   ``Solver(kernel="reference")``.
 
-All arithmetic is exact in both engines, so SAT/UNSAT answers carry no
-floating-point risk.  Strict inequalities are handled symbolically
-through the infinitesimal component of delta-rationals.
+Both pick pivots by Bland's smallest-index rule over exact arithmetic
+and concretize delta the same way, so verdicts, models, cores and
+search traces are bit-identical.  No floating point is involved, so
+SAT/UNSAT answers carry no rounding risk.  Strict inequalities are
+handled symbolically through the infinitesimal component of
+delta-rationals.
 
-The integer engine additionally exposes the hooks the theory-propagation
+:class:`Simplex` additionally exposes the hooks the theory-propagation
 layer needs: a ``bound_dirty`` set of variables whose bounds changed
 since it was last drained, and :meth:`Simplex.row_implied_bounds`, which
 derives the bound a row implies on its basic variable from the bounds of
@@ -122,6 +110,14 @@ T_ZERO: Triple = (0, 0, 1)
 #: denominators are only GCD-normalized once they exceed this, keeping
 #: the common case at machine-word width without a gcd per operation
 _NORM_LIMIT = 1 << 64
+
+#: pivots between deferred refactorization sweeps
+_REFACTOR_INTERVAL = 64
+
+#: a refactorization sweep renormalizes rows/assignments whose
+#: denominator exceeds this (well below _NORM_LIMIT, so the sweep picks
+#: up growth the per-operation lazy GCD has not yet paid for)
+_SPARSE_NORM_LIMIT = 1 << 32
 
 
 def _triple_of(value: DeltaRational) -> Triple:
@@ -208,7 +204,7 @@ class _TripleView:
 
 
 class Simplex:
-    """The incremental simplex engine (integer-kernel implementation).
+    """The incremental simplex engine.
 
     Variables are dense integer indices allocated via :meth:`new_var`.
     Definitional rows (slack variables for linear forms) are installed
@@ -216,10 +212,27 @@ class Simplex:
     retractions then drive the search.
 
     Internally each row ``basic -> {var: numerator}`` is scaled by
-    ``row_den[basic] > 0`` and every assignment/bound is a
+    ``row_den[basic] > 0``, with a column index ``cols[var]`` naming the
+    rows that mention ``var``, so every row operation touches only
+    nonzeros (~3 per row on real grids).  Every assignment/bound is a
     ``(rn, kn, d)`` triple; :attr:`assign`, :attr:`lower` and
     :attr:`upper` are read-only views converting back to
     :class:`DeltaRational` for callers and tests.
+
+    * ``_violated`` is exactly the set of basic variables whose
+      assignment lies outside their bounds.  :meth:`check` takes
+      ``min(_violated)`` (Bland's smallest-index rule without a full
+      scan), so the no-pivot case — the common one — is O(1) instead of
+      O(rows).
+    * every ``_REFACTOR_INTERVAL`` pivots, :meth:`_refactorize` sweeps
+      rows and assignment triples whose denominators outgrew
+      ``_SPARSE_NORM_LIMIT`` and GCD-renormalizes them (deferred row
+      maintenance in the eta-file spirit).  Counted in
+      :attr:`refactorizations`.
+
+    Both are value-preserving, so this engine stays bit-identical to
+    :class:`ReferenceSimplex` — enforced by
+    ``tests/smt/test_kernel_equivalence.py``.
     """
 
     def __init__(self) -> None:
@@ -244,6 +257,11 @@ class Simplex:
         self.pivots = 0
         #: when True, check() self-validates with check_invariants()
         self.debug_invariants = False
+        #: basic vars currently outside their bounds (exact, incremental)
+        self._violated: set = set()
+        #: deferred-maintenance sweeps that actually renormalized
+        self.refactorizations = 0
+        self._pivots_since_refactor = 0
 
     # read-only DeltaRational views over the internal triples
     @property
@@ -310,6 +328,30 @@ class Simplex:
         self._val[slack] = _tscale(value, 1, den)
 
     # ------------------------------------------------------------------
+    # violated-set maintenance
+    # ------------------------------------------------------------------
+    def _refresh_basic(self, var: int) -> None:
+        """Recompute ``var``'s membership in ``_violated`` (basic only)."""
+        val = self._val[var]
+        lo = self._lb[var]
+        if lo is not None:
+            # val < lo, inlined _tlt
+            x = val[0] * lo[2]
+            y = lo[0] * val[2]
+            if x < y or (x == y and val[1] * lo[2] < lo[1] * val[2]):
+                self._violated.add(var)
+                return
+        hi = self._ub[var]
+        if hi is not None:
+            # val > hi, inlined _tlt
+            x = val[0] * hi[2]
+            y = hi[0] * val[2]
+            if x > y or (x == y and val[1] * hi[2] > hi[1] * val[2]):
+                self._violated.add(var)
+                return
+        self._violated.discard(var)
+
+    # ------------------------------------------------------------------
     # assignment maintenance
     # ------------------------------------------------------------------
     def _update_nonbasic(self, var: int, value: Triple) -> None:
@@ -320,9 +362,12 @@ class Simplex:
         rows = self.rows
         dens = self.row_den
         vals = self._val
-        for basic in self.cols[var]:
+        touched = self.cols[var]
+        for basic in touched:
             vals[basic] = _tadd(vals[basic], _tscale(delta, rows[basic][var], dens[basic]))
         vals[var] = value
+        for basic in touched:
+            self._refresh_basic(basic)
 
     def _pivot_and_update(self, basic: int, nonbasic: int, value: Triple) -> None:
         num = self.rows[basic][nonbasic]
@@ -343,12 +388,19 @@ class Simplex:
         vals[nonbasic] = _tadd(vals[nonbasic], theta)
         rows = self.rows
         dens = self.row_den
-        for other in self.cols[nonbasic]:
-            if other != basic:
-                vals[other] = _tadd(
-                    vals[other], _tscale(theta, rows[other][nonbasic], dens[other])
-                )
+        touched = [other for other in self.cols[nonbasic] if other != basic]
+        for other in touched:
+            vals[other] = _tadd(
+                vals[other], _tscale(theta, rows[other][nonbasic], dens[other])
+            )
         self._pivot(basic, nonbasic)
+        # `basic` left the basis pinned exactly at its bound; `nonbasic`
+        # entered with a moved assignment; every other touched row's
+        # value changed — only these can change violation status
+        self._violated.discard(basic)
+        self._refresh_basic(nonbasic)
+        for other in touched:
+            self._refresh_basic(other)
 
     def _pivot(self, basic: int, nonbasic: int) -> None:
         """Swap roles: ``nonbasic`` enters the basis, ``basic`` leaves."""
@@ -411,6 +463,43 @@ class Simplex:
             self.row_den[other] = d
         # after substitution no row mentions the (now basic) variable
         cols[nonbasic] = set()
+        self._pivots_since_refactor += 1
+        if self._pivots_since_refactor >= _REFACTOR_INTERVAL:
+            self._refactorize()
+
+    def _refactorize(self) -> None:
+        """Deferred row maintenance: GCD-renormalize grown denominators.
+
+        Representation-only (every row and assignment keeps its exact
+        value), so verdicts, pivot sequences and models are unaffected;
+        it just keeps numerators near machine-word width between the
+        per-operation lazy normalizations.
+        """
+        self._pivots_since_refactor = 0
+        swept = False
+        for basic, den in self.row_den.items():
+            if den <= _SPARSE_NORM_LIMIT:
+                continue
+            row = self.rows[basic]
+            g = den
+            for c in row.values():
+                g = gcd(g, c)
+                if g == 1:
+                    break
+            if g > 1:
+                for var in row:
+                    row[var] //= g
+                self.row_den[basic] = den // g
+                swept = True
+        vals = self._val
+        for var, t in enumerate(vals):
+            if t[2] > _SPARSE_NORM_LIMIT:
+                g = gcd(gcd(t[0], t[1]), t[2])
+                if g > 1:
+                    vals[var] = (t[0] // g, t[1] // g, t[2] // g)
+                    swept = True
+        if swept:
+            self.refactorizations += 1
 
     # ------------------------------------------------------------------
     # bounds
@@ -433,7 +522,12 @@ class Simplex:
         self._lb[var] = value
         self.lower_reason[var] = reason
         self.bound_dirty.add(var)
-        if var not in self.rows and _tlt(self._val[var], value):
+        if var in self.rows:
+            # basic: the assignment stays put, but the tightened bound
+            # alone can push the row into violation
+            if _tlt(self._val[var], value):
+                self._violated.add(var)
+        elif _tlt(self._val[var], value):
             self._update_nonbasic(var, value)
         return None
 
@@ -451,7 +545,10 @@ class Simplex:
         self._ub[var] = value
         self.upper_reason[var] = reason
         self.bound_dirty.add(var)
-        if var not in self.rows and _tlt(value, self._val[var]):
+        if var in self.rows:
+            if _tlt(value, self._val[var]):
+                self._violated.add(var)
+        elif _tlt(value, self._val[var]):
             self._update_nonbasic(var, value)
         return None
 
@@ -461,6 +558,7 @@ class Simplex:
 
     def backtrack(self, mark: int) -> None:
         """Retract all bound assertions made after ``mark``."""
+        touched = set()
         while len(self.trail) > mark:
             var, which, old_value, old_reason = self.trail.pop()
             if which == "L":
@@ -469,6 +567,11 @@ class Simplex:
             else:
                 self._ub[var] = old_value
                 self.upper_reason[var] = old_reason
+            touched.add(var)
+        rows = self.rows
+        for var in touched:
+            if var in rows:
+                self._refresh_basic(var)
 
     # ------------------------------------------------------------------
     # the check procedure
@@ -481,39 +584,26 @@ class Simplex:
         bound conflict (UNSAT, with the reasons of all involved bounds).
 
         Pivot selection follows Bland's smallest-index rule throughout,
-        which guarantees termination (no cycling) and measures fastest
-        on the verification workloads.
+        which guarantees termination (no cycling): the violating row is
+        ``min(_violated)``, the entering variable the smallest movable
+        one in that row.
         """
         rows = self.rows
         vals = self._val
         lbs = self._lb
         ubs = self._ub
+        violated = self._violated
         while True:
-            violating = -1
-            increase = False
-            for basic in rows:
-                val = vals[basic]
-                lo = lbs[basic]
-                if lo is not None:
-                    # val < lo, inlined _tlt
-                    x = val[0] * lo[2]
-                    y = lo[0] * val[2]
-                    if x < y or (x == y and val[1] * lo[2] < lo[1] * val[2]):
-                        if violating == -1 or basic < violating:
-                            violating, increase = basic, True
-                        continue
-                hi = ubs[basic]
-                if hi is not None:
-                    # val > hi, inlined _tlt
-                    x = val[0] * hi[2]
-                    y = hi[0] * val[2]
-                    if x > y or (x == y and val[1] * hi[2] > hi[1] * val[2]):
-                        if violating == -1 or basic < violating:
-                            violating, increase = basic, False
-            if violating == -1:
+            if not violated:
                 if self.debug_invariants:
                     self.check_invariants()
                 return None
+            violating = min(violated)
+            val = vals[violating]
+            lo = lbs[violating]
+            # active bounds never cross, so the violated side is
+            # unambiguous: below the lower bound means increase
+            increase = lo is not None and _tlt(val, lo)
             row = rows[violating]
             pivot_var = -1
             for var in row:
@@ -624,7 +714,8 @@ class Simplex:
     # debugging
     # ------------------------------------------------------------------
     def check_invariants(self) -> bool:
-        """Validate tableau / column-index / assignment / bound coherence.
+        """Validate tableau / column-index / assignment / bound coherence
+        and the exactness of the ``_violated`` set.
 
         Raises ``AssertionError`` on the first violation; returns True
         when everything holds.  Intended for the randomized tests and
@@ -657,6 +748,18 @@ class Simplex:
                 val = self._val[var]
                 assert lo is None or _tle(lo, val), f"nonbasic {var} below lower bound"
                 assert hi is None or _tle(val, hi), f"nonbasic {var} above upper bound"
+        expect = set()
+        for basic in self.rows:
+            val = self._val[basic]
+            lo = self._lb[basic]
+            hi = self._ub[basic]
+            if (lo is not None and _tlt(val, lo)) or (
+                hi is not None and _tlt(hi, val)
+            ):
+                expect.add(basic)
+        assert self._violated == expect, (
+            f"violated set stale: {sorted(self._violated)} != {sorted(expect)}"
+        )
         return True
 
     # ------------------------------------------------------------------
@@ -687,323 +790,6 @@ class Simplex:
                     if diff_r > 0:
                         delta = min(delta, Fraction(diff_r, -diff_k) / 2)
         return [vals[var].concretize(delta) for var in range(self.num_vars)]
-
-
-#: pivots between deferred refactorization sweeps (SparseSimplex)
-_REFACTOR_INTERVAL = 64
-
-#: a refactorization sweep renormalizes rows/assignments whose
-#: denominator exceeds this (well below _NORM_LIMIT, so the sweep picks
-#: up growth the per-operation lazy GCD has not yet paid for)
-_SPARSE_NORM_LIMIT = 1 << 32
-
-
-class SparseSimplex(Simplex):
-    """Sparse-control-flow integer kernel (the default engine).
-
-    Inherits the integer-triple data layout of :class:`Simplex` — rows
-    are index->numerator maps over a per-row denominator, with a column
-    index ``cols[var]`` naming the rows that mention ``var``, so every
-    row operation already touches only nonzeros (~3 per row on real
-    grids).  What this subclass changes is the *control flow*:
-
-    * ``_violated`` is maintained as exactly the set of basic variables
-      whose assignment lies outside their bounds.  ``check`` pops
-      ``min(_violated)`` (identical to Bland's smallest-index rule over
-      a full scan) instead of scanning every row per iteration, which
-      makes the no-pivot case — the overwhelmingly common one, since
-      the SAT core checks the theory at every BCP fixpoint — O(1)
-      instead of O(rows).
-    * every ``_REFACTOR_INTERVAL`` pivots, :meth:`_refactorize` sweeps
-      rows and assignment triples whose denominators outgrew
-      ``_SPARSE_NORM_LIMIT`` and GCD-renormalizes them (deferred row
-      maintenance in the eta-file spirit: cheap bookkeeping per pivot,
-      periodic consolidation).  Counted in :attr:`refactorizations`.
-
-    Both changes are value-preserving and leave pivot selection,
-    assertion order and conflict explanations untouched, so this engine
-    is bit-identical to :class:`Simplex` and
-    :class:`ReferenceSimplex` — enforced by
-    ``tests/smt/test_kernel_equivalence.py``.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        #: basic vars currently outside their bounds (exact, incremental)
-        self._violated: set = set()
-        #: deferred-maintenance sweeps that actually renormalized
-        self.refactorizations = 0
-        self._pivots_since_refactor = 0
-
-    # ------------------------------------------------------------------
-    # violated-set maintenance
-    # ------------------------------------------------------------------
-    def _refresh_basic(self, var: int) -> None:
-        """Recompute ``var``'s membership in ``_violated`` (basic only)."""
-        val = self._val[var]
-        lo = self._lb[var]
-        if lo is not None:
-            # val < lo, inlined _tlt
-            x = val[0] * lo[2]
-            y = lo[0] * val[2]
-            if x < y or (x == y and val[1] * lo[2] < lo[1] * val[2]):
-                self._violated.add(var)
-                return
-        hi = self._ub[var]
-        if hi is not None:
-            # val > hi, inlined _tlt
-            x = val[0] * hi[2]
-            y = hi[0] * val[2]
-            if x > y or (x == y and val[1] * hi[2] > hi[1] * val[2]):
-                self._violated.add(var)
-                return
-        self._violated.discard(var)
-
-    # ------------------------------------------------------------------
-    # assignment maintenance
-    # ------------------------------------------------------------------
-    def _update_nonbasic(self, var: int, value: Triple) -> None:
-        old = self._val[var]
-        od = old[2]
-        vd = value[2]
-        delta = (value[0] * od - old[0] * vd, value[1] * od - old[1] * vd, vd * od)
-        rows = self.rows
-        dens = self.row_den
-        vals = self._val
-        touched = self.cols[var]
-        for basic in touched:
-            vals[basic] = _tadd(vals[basic], _tscale(delta, rows[basic][var], dens[basic]))
-        vals[var] = value
-        for basic in touched:
-            self._refresh_basic(basic)
-
-    def _pivot_and_update(self, basic: int, nonbasic: int, value: Triple) -> None:
-        num = self.rows[basic][nonbasic]
-        den = self.row_den[basic]
-        old = self._val[basic]
-        od = old[2]
-        vd = value[2]
-        dr = value[0] * od - old[0] * vd
-        dk = value[1] * od - old[1] * vd
-        dd = vd * od
-        # theta = (value - assign[basic]) * den / num, with positive denom
-        if num > 0:
-            theta = _tnorm(dr * den, dk * den, dd * num)
-        else:
-            theta = _tnorm(-dr * den, -dk * den, dd * -num)
-        vals = self._val
-        vals[basic] = value
-        vals[nonbasic] = _tadd(vals[nonbasic], theta)
-        rows = self.rows
-        dens = self.row_den
-        touched = [other for other in self.cols[nonbasic] if other != basic]
-        for other in touched:
-            vals[other] = _tadd(
-                vals[other], _tscale(theta, rows[other][nonbasic], dens[other])
-            )
-        self._pivot(basic, nonbasic)
-        # `basic` left the basis pinned exactly at its bound; `nonbasic`
-        # entered with a moved assignment; every other touched row's
-        # value changed — only these can change violation status
-        self._violated.discard(basic)
-        self._refresh_basic(nonbasic)
-        for other in touched:
-            self._refresh_basic(other)
-
-    def _pivot(self, basic: int, nonbasic: int) -> None:
-        super()._pivot(basic, nonbasic)
-        self._pivots_since_refactor += 1
-        if self._pivots_since_refactor >= _REFACTOR_INTERVAL:
-            self._refactorize()
-
-    def _refactorize(self) -> None:
-        """Deferred row maintenance: GCD-renormalize grown denominators.
-
-        Representation-only (every row and assignment keeps its exact
-        value), so verdicts, pivot sequences and models are unaffected;
-        it just keeps numerators near machine-word width between the
-        per-operation lazy normalizations.
-        """
-        self._pivots_since_refactor = 0
-        swept = False
-        for basic, den in self.row_den.items():
-            if den <= _SPARSE_NORM_LIMIT:
-                continue
-            row = self.rows[basic]
-            g = den
-            for c in row.values():
-                g = gcd(g, c)
-                if g == 1:
-                    break
-            if g > 1:
-                for var in row:
-                    row[var] //= g
-                self.row_den[basic] = den // g
-                swept = True
-        vals = self._val
-        for var, t in enumerate(vals):
-            if t[2] > _SPARSE_NORM_LIMIT:
-                g = gcd(gcd(t[0], t[1]), t[2])
-                if g > 1:
-                    vals[var] = (t[0] // g, t[1] // g, t[2] // g)
-                    swept = True
-        if swept:
-            self.refactorizations += 1
-
-    # ------------------------------------------------------------------
-    # bounds
-    # ------------------------------------------------------------------
-    def assert_lower(self, var: int, value, reason: int) -> Optional[List[int]]:
-        """Assert ``var >= value``; returns conflicting reasons or None."""
-        if type(value) is not tuple:
-            value = _triple_of(value)
-        lo = self._lb[var]
-        if lo is not None and _tle(value, lo):
-            return None
-        hi = self._ub[var]
-        if hi is not None and _tlt(hi, value):
-            return [reason, self.upper_reason[var]]
-        self.trail.append((var, "L", lo, self.lower_reason[var]))
-        self._lb[var] = value
-        self.lower_reason[var] = reason
-        self.bound_dirty.add(var)
-        if var in self.rows:
-            # basic: the assignment stays put, but the tightened bound
-            # alone can push the row into violation
-            if _tlt(self._val[var], value):
-                self._violated.add(var)
-        elif _tlt(self._val[var], value):
-            self._update_nonbasic(var, value)
-        return None
-
-    def assert_upper(self, var: int, value, reason: int) -> Optional[List[int]]:
-        """Assert ``var <= value``; returns conflicting reasons or None."""
-        if type(value) is not tuple:
-            value = _triple_of(value)
-        hi = self._ub[var]
-        if hi is not None and _tle(hi, value):
-            return None
-        lo = self._lb[var]
-        if lo is not None and _tlt(value, lo):
-            return [reason, self.lower_reason[var]]
-        self.trail.append((var, "U", hi, self.upper_reason[var]))
-        self._ub[var] = value
-        self.upper_reason[var] = reason
-        self.bound_dirty.add(var)
-        if var in self.rows:
-            if _tlt(value, self._val[var]):
-                self._violated.add(var)
-        elif _tlt(value, self._val[var]):
-            self._update_nonbasic(var, value)
-        return None
-
-    def backtrack(self, mark: int) -> None:
-        """Retract all bound assertions made after ``mark``."""
-        touched = set()
-        while len(self.trail) > mark:
-            var, which, old_value, old_reason = self.trail.pop()
-            if which == "L":
-                self._lb[var] = old_value
-                self.lower_reason[var] = old_reason
-            else:
-                self._ub[var] = old_value
-                self.upper_reason[var] = old_reason
-            touched.add(var)
-        rows = self.rows
-        for var in touched:
-            if var in rows:
-                self._refresh_basic(var)
-
-    # ------------------------------------------------------------------
-    # the check procedure
-    # ------------------------------------------------------------------
-    def check(self) -> Optional[List[int]]:
-        """Restore feasibility; returns a conflicting reason set or None.
-
-        Identical contract and pivot sequence to :meth:`Simplex.check`;
-        the violating row comes from ``min(_violated)`` (Bland's
-        smallest-index rule over the incrementally maintained set)
-        instead of a full tableau scan per iteration.
-        """
-        rows = self.rows
-        vals = self._val
-        lbs = self._lb
-        ubs = self._ub
-        violated = self._violated
-        while True:
-            if not violated:
-                if self.debug_invariants:
-                    self.check_invariants()
-                return None
-            violating = min(violated)
-            val = vals[violating]
-            lo = lbs[violating]
-            # active bounds never cross, so the violated side is
-            # unambiguous: below the lower bound means increase
-            increase = lo is not None and _tlt(val, lo)
-            row = rows[violating]
-            pivot_var = -1
-            for var in row:
-                coeff = row[var]
-                if increase:
-                    movable = (
-                        coeff > 0
-                        and (ubs[var] is None or _tlt(vals[var], ubs[var]))
-                    ) or (
-                        coeff < 0
-                        and (lbs[var] is None or _tlt(lbs[var], vals[var]))
-                    )
-                else:
-                    movable = (
-                        coeff > 0
-                        and (lbs[var] is None or _tlt(lbs[var], vals[var]))
-                    ) or (
-                        coeff < 0
-                        and (ubs[var] is None or _tlt(vals[var], ubs[var]))
-                    )
-                if movable and (pivot_var == -1 or var < pivot_var):
-                    pivot_var = var
-            if pivot_var == -1:
-                # conflict: the row pins `violating` strictly outside its bound
-                reasons = []
-                if increase:
-                    reasons.append(self.lower_reason[violating])
-                    for var, coeff in row.items():
-                        reasons.append(
-                            self.upper_reason[var] if coeff > 0 else self.lower_reason[var]
-                        )
-                else:
-                    reasons.append(self.upper_reason[violating])
-                    for var, coeff in row.items():
-                        reasons.append(
-                            self.lower_reason[var] if coeff > 0 else self.upper_reason[var]
-                        )
-                if self.debug_invariants:
-                    self.check_invariants()
-                return sorted({r for r in reasons if r is not None})
-            target = lbs[violating] if increase else ubs[violating]
-            assert target is not None
-            self._pivot_and_update(violating, pivot_var, target)
-
-    # ------------------------------------------------------------------
-    # debugging
-    # ------------------------------------------------------------------
-    def check_invariants(self) -> bool:
-        """Base invariants plus exactness of the ``_violated`` set."""
-        super().check_invariants()
-        expect = set()
-        for basic in self.rows:
-            val = self._val[basic]
-            lo = self._lb[basic]
-            hi = self._ub[basic]
-            if (lo is not None and _tlt(val, lo)) or (
-                hi is not None and _tlt(hi, val)
-            ):
-                expect.add(basic)
-        assert self._violated == expect, (
-            f"violated set stale: {sorted(self._violated)} != {sorted(expect)}"
-        )
-        return True
 
 
 class ReferenceSimplex:

@@ -29,7 +29,7 @@ from repro.smt.cardinality import (
 from repro.smt.cnf import CnfBuilder
 from repro.smt.sat import ClauseExchange, SatSolver, SolverConfig
 from repro.smt.terms import BoolTerm, BoolVar, LinExpr, RealVar, to_fraction
-from repro.smt.theory import LraTheory
+from repro.smt.theory import KERNELS, LraTheory
 
 
 class Result(enum.Enum):
@@ -41,19 +41,9 @@ class Result(enum.Enum):
 #: bumped whenever solver internals change in a way that can alter
 #: models, cores or the statistics schema; baked into cache
 #: fingerprints so stale disk entries are recomputed, not reused
-ENGINE_VERSION = 6
+ENGINE_VERSION = 7
 
 DEFAULT_KERNEL = "sparse"
-
-#: every selectable kernel; mirrors repro.smt.theory.KERNELS without
-#: importing it (the facade validates before the theory is built, so a
-#: typo in REPRO_THEORY_KERNEL fails here with the env var named)
-VALID_KERNELS = ("sparse", "int", "reference")
-
-DEFAULT_SAT_KERNEL = "python"
-
-#: selectable SAT/BCP kernels; mirrors repro.smt.sat.SAT_KERNELS
-VALID_SAT_KERNELS = ("python", "vec")
 
 
 def _resolve_kernel(kernel: Optional[str]) -> str:
@@ -63,10 +53,12 @@ def _resolve_kernel(kernel: Optional[str]) -> str:
         # convention of the sibling REPRO_* switches
         kernel = os.environ.get("REPRO_THEORY_KERNEL") or DEFAULT_KERNEL
         source = "REPRO_THEORY_KERNEL"
-    if kernel not in VALID_KERNELS:
+    # validated here, before the theory is built, so a typo in
+    # REPRO_THEORY_KERNEL fails with the env var named
+    if kernel not in KERNELS:
         raise ValueError(
             f"unknown theory kernel {kernel!r} (from {source}); "
-            f"valid kernels: {', '.join(VALID_KERNELS)}"
+            f"valid kernels: {', '.join(KERNELS)}"
         )
     return kernel
 
@@ -86,19 +78,6 @@ def _resolve_profile(flag: Optional[bool]) -> bool:
     return bool(flag)
 
 
-def _resolve_sat_kernel(kernel: Optional[str]) -> str:
-    source = "sat_kernel argument"
-    if kernel is None:
-        kernel = os.environ.get("REPRO_SAT_KERNEL") or DEFAULT_SAT_KERNEL
-        source = "REPRO_SAT_KERNEL"
-    if kernel not in VALID_SAT_KERNELS:
-        raise ValueError(
-            f"unknown SAT kernel {kernel!r} (from {source}); "
-            f"valid kernels: {', '.join(VALID_SAT_KERNELS)}"
-        )
-    return kernel
-
-
 def _resolve_sat_config(config: Optional[SolverConfig]) -> SolverConfig:
     if config is not None:
         return config
@@ -113,19 +92,15 @@ def engine_signature() -> str:
     """Identity of the solver configuration results depend on.
 
     Combines :data:`ENGINE_VERSION` with the environment-resolved
-    kernel, propagation, SAT-kernel and search-configuration switches —
-    everything that can change a model or a core for the same input.
+    kernel, propagation and search-configuration switches — everything
+    that can change a model or a core for the same input.
     Included in cache fingerprints
     (:func:`repro.runtime.serialize.spec_fingerprint`).
     """
     kernel = _resolve_kernel(None)
     prop = "1" if _resolve_propagation(None) else "0"
-    sat_kernel = _resolve_sat_kernel(None)
     config = _resolve_sat_config(None)
-    return (
-        f"v{ENGINE_VERSION}/kernel={kernel}/prop={prop}"
-        f"/sat={sat_kernel}/cfg={config.token()}"
-    )
+    return f"v{ENGINE_VERSION}/kernel={kernel}/prop={prop}/cfg={config.token()}"
 
 
 class Model:
@@ -157,13 +132,12 @@ class Model:
 class Solver:
     """An incremental QF_LRA solver (drop-in for the paper's use of Z3).
 
-    ``kernel`` selects the simplex engine — ``"sparse"`` (sparse
-    control flow over the integer-triple layout, the default),
-    ``"int"`` (the PR 4 integer-triple kernel) or ``"reference"`` (the
-    retained Fraction oracle); ``theory_propagation`` toggles
-    row-implied bound propagation (triple kernels only); ``profile``
-    enables per-phase
-    wall-time attribution in :meth:`statistics`.  Each defaults to the
+    ``kernel`` selects the simplex engine — ``"sparse"`` (the
+    production :class:`~repro.smt.simplex.Simplex`, the default) or
+    ``"reference"`` (the retained Fraction oracle);
+    ``theory_propagation`` toggles row-implied bound propagation
+    (production kernel only); ``profile`` enables per-phase wall-time
+    attribution in :meth:`statistics`.  Each defaults to the
     ``REPRO_THEORY_KERNEL`` / ``REPRO_THEORY_PROPAGATION`` /
     ``REPRO_SMT_PROFILE`` environment variable so existing ``Solver()``
     call sites pick up a configuration without plumbing.
@@ -175,12 +149,8 @@ class Solver:
         theory_propagation: Optional[bool] = None,
         profile: Optional[bool] = None,
         sat_config: Optional[SolverConfig] = None,
-        sat_kernel: Optional[str] = None,
     ) -> None:
-        self._sat = SatSolver(
-            config=_resolve_sat_config(sat_config),
-            kernel=_resolve_sat_kernel(sat_kernel),
-        )
+        self._sat = SatSolver(config=_resolve_sat_config(sat_config))
         self._sat.profile = _resolve_profile(profile)
         self._theory = LraTheory(
             kernel=_resolve_kernel(kernel),
@@ -276,6 +246,11 @@ class Solver:
             atom = self._cnf.atom_of_var.get(var)
             if atom is not None and var not in self._theory._atom_map:
                 self._theory.register_atom(var, atom)
+                if self._theory.propagation:
+                    # propagation may entail this atom even when no clause
+                    # the SAT core keeps mentions it (add_clause stops at a
+                    # literal true at level 0, before creating later vars)
+                    self._sat.ensure_vars(var)
                 self._emit_lattice_lemmas(var, atom)
 
     def _emit_lattice_lemmas(self, sat_var: int, atom) -> None:
@@ -499,7 +474,6 @@ class Solver:
             learned_kept=self._learned_kept,
             core_size=len(self._core),
             kernel=self._theory.kernel,
-            sat_kernel=self._sat.kernel,
             sat_config=self._sat.config.token(),
             pivots=simplex.pivots,
             rows_nnz=rows_nnz,

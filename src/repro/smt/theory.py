@@ -14,14 +14,13 @@ literal               asserted bound
 ``(e >= b)`` false    upper bound ``b - delta``  (strict ``<``)
 ====================  =======================================
 
-Three kernels back the listener (see :mod:`repro.smt.simplex`): the
-sparse-control-flow :class:`~repro.smt.simplex.SparseSimplex`
-(default), the integer-triple :class:`~repro.smt.simplex.Simplex`, and
-the retained :class:`~repro.smt.simplex.ReferenceSimplex` Fraction
-oracle.  All three are bit-identical; :data:`KERNELS` names the valid
-selections.
+Two kernels back the listener (see :mod:`repro.smt.simplex`): the
+production :class:`~repro.smt.simplex.Simplex` (``sparse``, the
+default) and the retained :class:`~repro.smt.simplex.ReferenceSimplex`
+Fraction oracle (``reference``).  Both are bit-identical;
+:data:`KERNELS` names the valid selections.
 
-On the integer-triple kernels the listener additionally implements *unate
+On the production kernel the listener additionally implements *unate
 propagation* (Dutertre & de Moura section 6): after a feasible
 ``check()``, rows touched by recently tightened bounds are scanned and
 the bound each row implies on its basic variable is compared against the
@@ -38,23 +37,17 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.smt.cnf import CanonicalAtom
-from repro.smt.simplex import (
-    DeltaRational,
-    ReferenceSimplex,
-    Simplex,
-    SparseSimplex,
-)
+from repro.smt.simplex import DeltaRational, ReferenceSimplex, Simplex
 
 ONE = Fraction(1)
 
-#: valid theory kernels, fastest first; ``sparse`` is the default
-KERNELS = ("sparse", "int", "reference")
-
 _ENGINES = {
-    "sparse": SparseSimplex,
-    "int": Simplex,
+    "sparse": Simplex,
     "reference": ReferenceSimplex,
 }
+
+#: valid theory kernels; ``sparse`` is the default
+KERNELS = tuple(_ENGINES)
 
 #: rows examined per :meth:`LraTheory.propagate` call; overflow rows are
 #: re-queued on the dirty set for the next call
@@ -77,7 +70,7 @@ class LraTheory:
             )
         self.kernel = kernel
         self._use_triples = kernel != "reference"
-        # row-implied bound propagation needs the integer kernels'
+        # row-implied bound propagation needs the production kernel's
         # triple bounds; the reference engine is the frozen pre-overhaul
         # oracle and always runs without it
         self.propagation = bool(propagate) and self._use_triples
@@ -175,7 +168,7 @@ class LraTheory:
             self.simplex.backtrack(mark)
 
     # ------------------------------------------------------------------
-    # theory-aware bound propagation (integer kernel only)
+    # theory-aware bound propagation (production kernel only)
     # ------------------------------------------------------------------
     def propagate(self, value: Callable[[int], int]):
         """Entailed atom literals from row-implied bounds.

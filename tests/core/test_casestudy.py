@@ -109,6 +109,20 @@ class TestObjective2:
             assert verify_attack(spec, backend="milp").attack_exists is expect
 
 
+class TestTheoryPropagation:
+    """REPRO_THEORY_PROPAGATION=1 on the case-study specs: row-implied
+    bounds must fire, and may change the witness but not the verdict."""
+
+    @pytest.mark.parametrize("objective", [attack_objective_1, attack_objective_2])
+    def test_propagation_fires_and_keeps_the_verdict(self, objective, monkeypatch):
+        monkeypatch.setenv("REPRO_THEORY_PROPAGATION", "0")
+        plain = verify_attack(objective())
+        monkeypatch.setenv("REPRO_THEORY_PROPAGATION", "1")
+        propagated = verify_attack(objective())
+        assert propagated.statistics["theory_props"] > 0
+        assert propagated.outcome is plain.outcome
+
+
 class TestSynthesisScenarios:
     """Qualitative published behaviour: a feasible architecture exists,
     tighter budgets are infeasible, and attacker power never shrinks

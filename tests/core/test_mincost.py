@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.analysis.sweeps import spec_for_case
 from repro.core.mincost import minimum_attack_cost, state_attack_costs
 from repro.core.spec import AttackGoal, AttackSpec, ResourceLimits
 from repro.core.verification import verify_attack
-from repro.grid.cases import ieee14
+from repro.grid.cases import ieee14, load_case
 from repro.grid.model import Grid, Line
+from repro.runtime import RuntimeOptions
 
 
 def path_spec(n=4, target=None):
@@ -123,6 +125,21 @@ class TestMinimumCost:
         result = minimum_attack_cost(spec)
         assert result.cost == 4
         assert len(result.attack.compromised_buses(spec.plan)) <= 2
+
+
+class TestLargeGrid:
+    def test_synthetic1000_leaf_bus_costs_two(self):
+        # a leaf's state is felt by one line, so the bus-dimension search
+        # stays small at 1000 buses; jobs=1 runs every probe cold through
+        # the runtime, covering the encode-per-probe path on a large grid
+        grid = load_case("synthetic1000")
+        target = min(bus for bus in grid.buses if len(grid.lines_at(bus)) == 1)
+        result = minimum_attack_cost(
+            spec_for_case("synthetic1000", target_bus=target),
+            dimension="buses",
+            runtime=RuntimeOptions(jobs=1),
+        )
+        assert (result.cost, result.probes) == (2, 2)
 
 
 class TestStateCosts:

@@ -114,7 +114,7 @@ class TestImportFiltering:
         solver.add_clause([-1])  # 1 is false at level 0
         solver._import_clause((1, 3, 4))
         assert len(solver.learnts) == 1
-        assert sorted(int(q) for q in solver.learnts[-1]) == [3, 4]
+        assert sorted(solver.learnts[-1]) == [3, 4]
 
     def test_unit_import_is_enqueued(self):
         solver = SatSolver()
@@ -181,12 +181,10 @@ class TestReplayDeterminism:
             assert replay.solve() == live_result
             assert replay.stats == live.stats
             assert replay.import_log == live.import_log
-            assert [int(v) for v in replay.assign] == [
-                int(v) for v in live.assign
-            ]
+            assert replay.assign == live.assign
         assert total_imported > 0  # the sweep must exercise real imports
 
-    def test_replay_holds_under_vec_kernel(self):
+    def test_replay_holds_for_a_fixed_donor_config(self):
         for seed in range(6):
             clauses = random_clauses(seed)
             donor = build_solver(clauses, config=SolverConfig(seed=3))
@@ -198,7 +196,7 @@ class TestReplayDeterminism:
             live.set_exchange(FeedExchange(collector.published), interval=16)
             live_result = live.solve()
 
-            replay = SatSolver(kernel="vec")
+            replay = SatSolver()
             replay.ensure_vars(40)
             for clause in clauses:
                 if not replay.add_clause(clause):

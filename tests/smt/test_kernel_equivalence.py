@@ -1,15 +1,16 @@
-"""Property tests pinning the fast kernels to the Fraction reference.
+"""Property tests pinning the production simplex to the Fraction oracle.
 
-Both integer-triple simplex engines — the sparse-control-flow
-:class:`~repro.smt.simplex.SparseSimplex` (the default) and the dense
-:class:`~repro.smt.simplex.Simplex` — must be **bit-identical** to the
-retained :class:`~repro.smt.simplex.ReferenceSimplex`: same verdicts,
-same models, same search trace.  These tests exercise the three-way
-contract two ways — random mixed formulas through the full
-:class:`~repro.smt.Solver` under every kernel, and random bound/pivot
-scripts replayed directly on the simplex engines with invariant
-checking enabled (which on the sparse engine also cross-checks the
-incrementally maintained violated-basic set against a full recompute).
+The shipped :class:`~repro.smt.simplex.Simplex` must be
+**bit-identical** to the retained
+:class:`~repro.smt.simplex.ReferenceSimplex`: same verdicts, same
+models, same search trace.  These tests exercise the contract two ways
+— random mixed formulas through the full :class:`~repro.smt.Solver`
+under both kernels, and random bound/pivot scripts replayed directly on
+both engines with invariant checking enabled (which on the production
+engine also cross-checks the incrementally maintained violated-basic
+set against a full recompute).  The contract must also survive the
+production engine's refactorization sweeps, forced after every pivot,
+and every search configuration the portfolio races.
 """
 
 import random
@@ -19,17 +20,11 @@ from functools import reduce
 import pytest
 
 from repro.smt import Not, Or, Result, Solver, ge, le
-from repro.smt.simplex import (
-    DeltaRational,
-    ReferenceSimplex,
-    Simplex,
-    SparseSimplex,
-)
+from repro.smt import simplex as simplex_module
+from repro.smt.sat import SolverConfig, diversified_configs
+from repro.smt.simplex import DeltaRational, ReferenceSimplex, Simplex
 
 F = Fraction
-
-#: the kernels pinned to the reference oracle
-FAST_KERNELS = ("int", "sparse")
 
 
 # ----------------------------------------------------------------------
@@ -79,9 +74,9 @@ def build_formula(solver, seed, nreal=3, nbool=2, natoms=6, nclauses=8):
     return xs, bs, atoms, skeleton
 
 
-def solve_with(kernel, seed, propagation=False, sat_kernel=None):
+def solve_with(kernel, seed, propagation=False, sat_config=None):
     solver = Solver(
-        kernel=kernel, theory_propagation=propagation, sat_kernel=sat_kernel
+        kernel=kernel, theory_propagation=propagation, sat_config=sat_config
     )
     xs, bs, atoms, skeleton = build_formula(solver, seed)
     result = solver.check()
@@ -89,106 +84,109 @@ def solve_with(kernel, seed, propagation=False, sat_kernel=None):
     return solver, xs, bs, atoms, skeleton, result, model
 
 
-class TestSolverEquivalence:
-    @pytest.mark.parametrize("kernel", FAST_KERNELS)
-    @pytest.mark.parametrize("seed", range(40))
-    def test_bit_identical_verdict_model_and_trace(self, seed, kernel):
-        ref = solve_with("reference", seed)
-        fast = solve_with(kernel, seed)
-        _, xs, bs, _, _, ref_result, ref_model = ref
-        _, _, _, _, _, fast_result, fast_model = fast
-        assert fast_result is ref_result
-        if ref_result is Result.SAT:
-            for x in xs:
-                assert fast_model.real_value(x) == ref_model.real_value(x)
-            for b in bs:
-                assert fast_model.value(b) == ref_model.value(b)
-        # the search itself must be identical, not just the answer
-        ref_stats = ref[0].statistics()
-        fast_stats = fast[0].statistics()
-        for key in ("conflicts", "decisions", "propagations", "pivots"):
-            assert fast_stats[key] == ref_stats[key], key
+def assert_bit_identical(ref, fast):
+    """Same verdict, same model and the same search for two solve_with runs."""
+    _, xs, bs, _, _, ref_result, ref_model = ref
+    _, _, _, _, _, fast_result, fast_model = fast
+    assert fast_result is ref_result
+    if ref_result is Result.SAT:
+        for x in xs:
+            assert fast_model.real_value(x) == ref_model.real_value(x)
+        for b in bs:
+            assert fast_model.value(b) == ref_model.value(b)
+    # the search itself must be identical, not just the answer: the
+    # whole stats dicts agree except the kernel name and the
+    # production-only refactorization counter
+    ref_stats = ref[0].statistics()
+    fast_stats = fast[0].statistics()
+    for stats in (ref_stats, fast_stats):
+        stats.pop("refactorizations")
+        stats.pop("kernel")
+    assert fast_stats == ref_stats
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_sparse_matches_int_stats_exactly(self, seed):
-        # sparse vs int directly (not just both-vs-reference): the whole
-        # stats dicts must agree except the sparse-only refactorization
-        # counter
-        int_stats = solve_with("int", seed)[0].statistics()
-        sparse_stats = solve_with("sparse", seed)[0].statistics()
-        for stats in (int_stats, sparse_stats):
-            stats.pop("refactorizations", None)
-            stats.pop("kernel", None)
-        assert sparse_stats == int_stats
+
+def assert_model_satisfies(solved):
+    """A SAT solve_with run's model makes every asserted clause true."""
+    _, xs, bs, atoms, skeleton, result, model = solved
+    assert result is Result.SAT
+    values = [model.real_value(x) for x in xs]
+
+    def atom_holds(idx):
+        _, coeffs, op, bound = atoms[idx]
+        total = sum(F(c) * v for c, v in zip(coeffs, values))
+        return total <= bound if op == "<=" else total >= bound
+
+    for shape in skeleton:
+        satisfied = any(
+            (atom_holds(idx) if kind == "atom" else model.value(bs[idx]))
+            == positive
+            for positive, kind, idx in shape
+        )
+        assert satisfied, f"model falsifies an asserted clause: {shape}"
+
+
+class TestSolverEquivalence:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bit_identical_verdict_model_and_trace(self, seed):
+        assert_bit_identical(
+            solve_with("reference", seed), solve_with("sparse", seed)
+        )
 
     @pytest.mark.parametrize("seed", range(40))
     def test_models_satisfy_asserted_clauses(self, seed):
-        solver, xs, bs, atoms, skeleton, result, model = solve_with("sparse", seed)
-        if result is not Result.SAT:
-            return
-        values = [model.real_value(x) for x in xs]
+        solved = solve_with("sparse", seed)
+        if solved[5] is Result.SAT:
+            assert_model_satisfies(solved)
 
-        def atom_holds(idx):
-            _, coeffs, op, bound = atoms[idx]
-            total = sum(F(c) * v for c, v in zip(coeffs, values))
-            return total <= bound if op == "<=" else total >= bound
-
-        for shape in skeleton:
-            satisfied = any(
-                (atom_holds(idx) if kind == "atom" else model.value(bs[idx]))
-                == positive
-                for positive, kind, idx in shape
-            )
-            assert satisfied, f"model falsifies an asserted clause: {shape}"
-
-    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("seed", range(40))
     def test_propagation_preserves_verdicts(self, seed):
+        # seed 39 asserts an atom only inside a clause that is already
+        # true at level 0, so the SAT core never sees the atom's
+        # variable until propagation entails it
         ref_result = solve_with("reference", seed)[5]
-        prop_result = solve_with("int", seed, propagation=True)[5]
-        assert prop_result is ref_result
+        solved = solve_with("sparse", seed, propagation=True)
+        assert solved[5] is ref_result
+        if ref_result is Result.SAT:
+            assert_model_satisfies(solved)
 
 
-class TestSatKernelEquivalence:
-    """The vectorized BCP kernel through the full DPLL(T) stack.
+class TestSatConfigs:
+    """Every search configuration the portfolio races, through DPLL(T).
 
-    Same contract as the theory kernels: REPRO_SAT_KERNEL=vec must be
-    bit-identical to the Python propagation loop — verdicts, models and
-    the complete search trace.
+    A configuration changes the search, never the answer, and the
+    production simplex must stay bit-identical to the oracle under each
+    one, not just under the default.
     """
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_vec_bcp_bit_identical_through_dpllt(self, seed):
-        ref = solve_with("sparse", seed, sat_kernel="python")
-        vec = solve_with("sparse", seed, sat_kernel="vec")
-        _, xs, bs, _, _, ref_result, ref_model = ref
-        _, _, _, _, _, vec_result, vec_model = vec
-        assert vec_result is ref_result
-        if ref_result is Result.SAT:
-            for x in xs:
-                assert vec_model.real_value(x) == ref_model.real_value(x)
-            for b in bs:
-                assert vec_model.value(b) == ref_model.value(b)
-        ref_stats = ref[0].statistics()
-        vec_stats = vec[0].statistics()
-        for stats in (ref_stats, vec_stats):
-            stats.pop("sat_kernel", None)
-        assert vec_stats == ref_stats
+    def test_configs_keep_verdicts_and_oracle_identity(self, seed):
+        verdict = solve_with("reference", seed)[5]
+        for config in diversified_configs(4)[1:]:
+            ref = solve_with("reference", seed, sat_config=config)
+            fast = solve_with("sparse", seed, sat_config=config)
+            assert_bit_identical(ref, fast)
+            assert fast[5] is verdict
+            if verdict is Result.SAT:
+                assert_model_satisfies(fast)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_vec_bcp_with_theory_propagation(self, seed):
-        ref = solve_with("sparse", seed, propagation=True, sat_kernel="python")
-        vec = solve_with("sparse", seed, propagation=True, sat_kernel="vec")
-        assert vec[5] is ref[5]
-        ref_stats = ref[0].statistics()
-        vec_stats = vec[0].statistics()
-        for key in ("conflicts", "decisions", "propagations", "pivots"):
-            assert vec_stats[key] == ref_stats[key], key
+    def test_configs_with_theory_propagation(self, seed):
+        verdict = solve_with("reference", seed)[5]
+        for config in diversified_configs(4)[1:]:
+            solved = solve_with(
+                "sparse", seed, propagation=True, sat_config=config
+            )
+            assert solved[5] is verdict
+            if verdict is Result.SAT:
+                assert_model_satisfies(solved)
 
-    def test_env_selection_reaches_the_sat_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SAT_KERNEL", "vec")
-        assert Solver().statistics()["sat_kernel"] == "vec"
-        monkeypatch.setenv("REPRO_SAT_KERNEL", "python")
-        assert Solver().statistics()["sat_kernel"] == "python"
+    def test_env_config_reaches_the_sat_engine(self, monkeypatch):
+        config = diversified_configs(4)[2]
+        monkeypatch.setenv("REPRO_SAT_CONFIG", config.token())
+        from_env = solve_with("sparse", 3)
+        monkeypatch.delenv("REPRO_SAT_CONFIG")
+        assert from_env[0]._sat.config == SolverConfig.from_token(config.token())
+        assert_bit_identical(solve_with("sparse", 3, sat_config=config), from_env)
 
 
 class TestUnsatCores:
@@ -202,7 +200,7 @@ class TestUnsatCores:
             op = rng.choice(("<=", ">="))
             bounds.append((var, op, rng.randint(-3, 3)))
         cores = {}
-        for kernel in ("reference", "int", "sparse"):
+        for kernel in ("reference", "sparse"):
             solver = Solver(kernel=kernel)
             xs = [solver.real_var(f"x{i}") for i in range(2)]
             terms = [
@@ -215,14 +213,13 @@ class TestUnsatCores:
                 if result is not Result.UNSAT
                 else [terms.index(t) for t in solver.unsat_core()]
             )
-        assert cores["int"] == cores["reference"]
         assert cores["sparse"] == cores["reference"]
-        if cores["int"] is None:
+        if cores["sparse"] is None:
             return
         # the named subset must itself be UNSAT
         solver = Solver()
         xs = [solver.real_var(f"x{i}") for i in range(2)]
-        for idx in cores["int"]:
+        for idx in cores["sparse"]:
             var, op, b = bounds[idx]
             solver.add(le(xs[var], b) if op == "<=" else ge(xs[var], b))
         assert solver.check() is Result.UNSAT
@@ -259,8 +256,7 @@ def random_script(rng, nv=4, nrows=3, nops=25):
     return rows, ops
 
 
-def replay(engine_cls, rows, ops, nv):
-    engine = engine_cls()
+def replay(engine, rows, ops, nv):
     engine.debug_invariants = True
     for _ in range(nv):
         engine.new_var()
@@ -300,25 +296,55 @@ class TestScriptReplay:
         rng = random.Random(seed)
         nv = rng.randint(2, 4)
         rows, ops = random_script(rng, nv=nv)
-        ref_trace = replay(ReferenceSimplex, rows, ops, nv)
-        int_trace = replay(Simplex, rows, ops, nv)
-        sparse_trace = replay(SparseSimplex, rows, ops, nv)
-        assert int_trace == ref_trace
-        assert sparse_trace == ref_trace
+        ref_trace = replay(ReferenceSimplex(), rows, ops, nv)
+        trace = replay(Simplex(), rows, ops, nv)
+        assert trace == ref_trace
 
     @pytest.mark.parametrize("seed", range(30, 50))
     def test_sparse_invariants_on_larger_scripts(self, seed):
         # bigger scripts drive more pivot/backtrack interleavings through
-        # the sparse engine's incremental violated-set maintenance;
-        # replay() runs with debug_invariants=True, so every check() and
-        # the final check_invariants() cross-check the set against a
-        # full recompute
+        # the incremental violated-set maintenance; replay() runs with
+        # debug_invariants=True, so every check() and the final
+        # check_invariants() cross-check the set against a full
+        # recompute
         rng = random.Random(seed)
         nv = rng.randint(4, 6)
         rows, ops = random_script(rng, nv=nv, nrows=5, nops=60)
-        sparse_trace = replay(SparseSimplex, rows, ops, nv)
-        int_trace = replay(Simplex, rows, ops, nv)
-        assert sparse_trace == int_trace
+        trace = replay(Simplex(), rows, ops, nv)
+        ref_trace = replay(ReferenceSimplex(), rows, ops, nv)
+        assert trace == ref_trace
+
+
+# ----------------------------------------------------------------------
+# refactorization sweeps are representation-only
+# ----------------------------------------------------------------------
+@pytest.fixture
+def sweep_every_pivot(monkeypatch):
+    # at the shipped interval and limit the small formulas and scripts
+    # here never reach a sweep; force one after every pivot, over every
+    # row and value with a denominator above 1
+    monkeypatch.setattr(simplex_module, "_REFACTOR_INTERVAL", 1)
+    monkeypatch.setattr(simplex_module, "_SPARSE_NORM_LIMIT", 1)
+
+
+@pytest.mark.usefixtures("sweep_every_pivot")
+class TestRefactorization:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_sweeps_keep_the_solver_bit_identical(self, seed):
+        fast = solve_with("sparse", seed)
+        stats = fast[0].statistics()
+        assert (stats["refactorizations"] > 0) == (stats["pivots"] > 0)
+        assert_bit_identical(solve_with("reference", seed), fast)
+
+    @pytest.mark.parametrize("seed", range(30, 50))
+    def test_sweeps_keep_script_replays_bit_identical(self, seed):
+        rng = random.Random(seed)
+        nv = rng.randint(4, 6)
+        rows, ops = random_script(rng, nv=nv, nrows=5, nops=60)
+        engine = Simplex()
+        trace = replay(engine, rows, ops, nv)
+        assert (engine.refactorizations > 0) == (engine.pivots > 0)
+        assert trace == replay(ReferenceSimplex(), rows, ops, nv)
 
 
 # ----------------------------------------------------------------------
@@ -329,24 +355,25 @@ class TestKernelValidation:
         with pytest.raises(ValueError, match="unknown theory kernel 'bogus'"):
             Solver(kernel="bogus")
 
-    def test_unknown_kernel_env_rejected(self, monkeypatch):
-        # a typo'd REPRO_THEORY_KERNEL must fail loudly at Solver
-        # construction, naming the env var and the valid kernels, not
-        # silently fall back or crash deep in the theory layer
-        monkeypatch.setenv("REPRO_THEORY_KERNEL", "sprase")
+    # a typo'd (or retired: "int") REPRO_THEORY_KERNEL must fail loudly
+    # at Solver construction, naming the env var and the valid kernels,
+    # not silently fall back or crash deep in the theory layer
+    @pytest.mark.parametrize("value", ("sprase", "int"))
+    def test_unknown_kernel_env_rejected(self, value, monkeypatch):
+        monkeypatch.setenv("REPRO_THEORY_KERNEL", value)
         with pytest.raises(ValueError) as exc:
             Solver()
         message = str(exc.value)
-        assert "sprase" in message
+        assert f"unknown theory kernel {value!r}" in message
         assert "REPRO_THEORY_KERNEL" in message
-        for kernel in ("sparse", "int", "reference"):
+        for kernel in ("sparse", "reference"):
             assert kernel in message
 
     def test_empty_env_means_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_THEORY_KERNEL", "")
         assert Solver().statistics()["kernel"] == "sparse"
 
-    @pytest.mark.parametrize("kernel", ("sparse", "int", "reference"))
+    @pytest.mark.parametrize("kernel", ("sparse", "reference"))
     def test_valid_kernels_accepted(self, kernel, monkeypatch):
         monkeypatch.setenv("REPRO_THEORY_KERNEL", kernel)
         assert Solver().statistics()["kernel"] == kernel

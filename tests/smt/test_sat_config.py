@@ -1,10 +1,10 @@
-"""SolverConfig: diversification, restart schedules, seeds, vec kernel.
+"""SolverConfig: diversification, restart schedules, seeds.
 
-Covers the PR 9 search-configuration layer: token round-trips, the
+Covers the search-configuration layer: token round-trips, the
 restart-base lift out of the hardcoded ``* 100`` (with a regression
 pinning the default schedule to the historical one), reproducible
-seeded tie-breaking, and bit-identity of the numpy-vectorized BCP
-kernel against the Python loop.
+seeded tie-breaking, and how the facade resolves and reports the
+active configuration.
 """
 
 import random
@@ -17,21 +17,16 @@ from repro.smt.sat import (
     diversified_configs,
     luby,
 )
-from repro.smt.solver import (
-    Solver,
-    engine_signature,
-    _resolve_sat_config,
-    _resolve_sat_kernel,
-)
+from repro.smt.solver import Solver, engine_signature, _resolve_sat_config
 
 from tests.smt.test_sat_internals import hard_random_instance
-from tests.smt.test_sat_watches import GOLDEN_SEARCH_STATS, assert_watch_invariant
+from tests.smt.test_sat_watches import GOLDEN_SEARCH_STATS
 
 
-def random_instance(seed, config=None, kernel="python", n=40, ratio=4.2):
+def random_instance(seed, config=None, n=40, ratio=4.2):
     """hard_random_instance, but on a configurable solver."""
     rng = random.Random(seed)
-    solver = SatSolver(config=config, kernel=kernel)
+    solver = SatSolver(config=config)
     solver.ensure_vars(n)
     for _ in range(int(n * ratio)):
         clause = []
@@ -69,10 +64,6 @@ class TestConfigValidation:
     def test_out_of_range_knobs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
-
-    def test_unknown_sat_kernel_rejected(self):
-        with pytest.raises(ValueError, match="valid kernels"):
-            SatSolver(kernel="cuda")
 
 
 class TestTokens:
@@ -193,73 +184,7 @@ class TestDiversifiedSearch:
             assert base.solve() == flipped.solve()
 
 
-class TestVecKernel:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_bit_identical_to_python_kernel(self, seed):
-        py = random_instance(seed, kernel="python")
-        vec = random_instance(seed, kernel="vec")
-        assert py.solve() == vec.solve()
-        assert py.stats == vec.stats
-        assert py.assign == [int(v) for v in vec.assign]
-        assert_watch_invariant(vec)
-
-    def test_bit_identical_under_diversified_config(self):
-        config = diversified_configs(4)[1]
-        for seed in range(6):
-            py = random_instance(seed, config=config, kernel="python")
-            vec = random_instance(seed, config=config, kernel="vec")
-            assert py.solve() == vec.solve()
-            assert py.stats == vec.stats
-
-    def test_bit_identical_under_assumptions_with_cores(self):
-        for seed in range(6):
-            py = random_instance(seed, kernel="python")
-            vec = random_instance(seed, kernel="vec")
-            assumptions = [1, -2, 3]
-            r_py = py.solve(assumptions)
-            r_vec = vec.solve(assumptions)
-            assert r_py == r_vec
-            assert py.stats == vec.stats
-            if r_py is False:
-                assert py.core == [int(q) for q in vec.core]
-
-    def test_reduce_db_handles_numpy_reason_clauses(self):
-        # regression: _reduce_db tested reasons by truthiness, which
-        # raises on the vec kernel's numpy clause arrays ("truth value
-        # of an array with more than one element is ambiguous") — only
-        # long searches that actually reach a DB reduction hit it
-        vec = random_instance(1, kernel="vec")
-        py = random_instance(1, kernel="python")
-        assert vec.solve() == py.solve()
-        assert any(
-            vec.reason[abs(lit)] is not None for lit in vec.trail
-        ), "test needs propagated literals with clause reasons on the trail"
-        vec._reduce_db()
-        py._reduce_db()
-        assert len(vec.learnts) == len(py.learnts)
-
-    def test_incremental_resolves_stay_identical(self):
-        py = random_instance(3, kernel="python")
-        vec = random_instance(3, kernel="vec")
-        for assumptions in ([], [5], [-5, 7], []):
-            assert py.solve(assumptions) == vec.solve(assumptions)
-        assert py.stats == vec.stats
-
-
 class TestFacadeResolution:
-    def test_env_kernel_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SAT_KERNEL", raising=False)
-        assert _resolve_sat_kernel(None) == "python"
-        monkeypatch.setenv("REPRO_SAT_KERNEL", "vec")
-        assert _resolve_sat_kernel(None) == "vec"
-        monkeypatch.setenv("REPRO_SAT_KERNEL", "")
-        assert _resolve_sat_kernel(None) == "python"
-
-    def test_bad_env_kernel_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SAT_KERNEL", "gpu")
-        with pytest.raises(ValueError, match="REPRO_SAT_KERNEL"):
-            _resolve_sat_kernel(None)
-
     def test_env_config_resolution(self, monkeypatch):
         monkeypatch.setenv("REPRO_SAT_CONFIG", "luby@32/p1/d0.9/s5")
         config = _resolve_sat_config(None)
@@ -271,18 +196,12 @@ class TestFacadeResolution:
         with pytest.raises(ValueError, match="REPRO_SAT_CONFIG"):
             _resolve_sat_config(None)
 
-    def test_engine_signature_carries_sat_kernel_and_config(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SAT_KERNEL", raising=False)
+    def test_engine_signature_carries_config(self, monkeypatch):
         monkeypatch.delenv("REPRO_SAT_CONFIG", raising=False)
-        assert "/sat=python/cfg=luby@100/p0/d0.95" in engine_signature()
-        monkeypatch.setenv("REPRO_SAT_KERNEL", "vec")
+        assert engine_signature().endswith("/prop=0/cfg=luby@100/p0/d0.95")
         monkeypatch.setenv("REPRO_SAT_CONFIG", "geometric@64x1.5/p1/d0.92/s1")
-        signature = engine_signature()
-        assert "/sat=vec/" in signature
-        assert signature.endswith("cfg=geometric@64x1.5/p1/d0.92/s1")
+        assert engine_signature().endswith("cfg=geometric@64x1.5/p1/d0.92/s1")
 
-    def test_solver_statistics_expose_sat_kernel_and_config(self):
-        solver = Solver(sat_kernel="vec", sat_config=SolverConfig(seed=3))
-        stats = solver.statistics()
-        assert stats["sat_kernel"] == "vec"
-        assert stats["sat_config"] == "luby@100/p0/d0.95/s3"
+    def test_solver_statistics_expose_config(self):
+        solver = Solver(sat_config=SolverConfig(seed=3))
+        assert solver.statistics()["sat_config"] == "luby@100/p0/d0.95/s3"

@@ -225,6 +225,21 @@ class TestIncremental:
             assert key in stats
 
 
+class TestTheoryPropagation:
+    def test_entails_an_atom_only_in_a_clause_true_at_level_zero(self):
+        # (b or x+y <= 1) is already true when it is added, so no clause
+        # the SAT core keeps mentions the atom; propagation still entails
+        # x+y <= 1 from x, y <= 0, and the core must have its variable
+        s = Solver(theory_propagation=True)
+        x, y = s.real_var("x"), s.real_var("y")
+        b = s.bool_var("b")
+        s.add(le(x, 0), le(y, 0), b)
+        s.add(Or(b, le(x + y, 1)))
+        assert s.check() is Result.SAT
+        assert s.statistics()["theory_props"] == 1
+        assert s.model().real_value(x) + s.model().real_value(y) <= 1
+
+
 class TestDifferentialMixed:
     """Random mixed bool+LRA formulas vs enumeration + linprog."""
 

@@ -108,7 +108,7 @@ class TestAssertions:
 
 
 class TestPropagation:
-    """Row-implied bound propagation (integer kernel only)."""
+    """Row-implied bound propagation (production kernel only)."""
 
     def setup_method(self):
         self.builder = CnfBuilder()
