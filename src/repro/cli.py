@@ -509,8 +509,10 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.service.http import run, serve_async
+
     if args.replicas > 1:
-        from repro.service.router import run_cluster
+        from repro.service.router import serve_cluster_async
 
         # replicas are separate `repro serve` processes: forward the
         # knobs as CLI flags (--cache-dir/--trace-file are added by the
@@ -533,7 +535,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 replica_args.append(args.portfolio)
         if args.sessions:
             replica_args.append("--sessions")
-        run_cluster(
+        main = serve_cluster_async(
             host=args.host,
             port=args.port,
             replicas=args.replicas,
@@ -543,23 +545,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             slo=args.slo,
             flight=args.flight,
         )
-        return 0
-
-    from repro.service.http import serve
-
-    serve(
-        host=args.host,
-        port=args.port,
-        options=_runtime_options(args),
-        window=args.batch_window,
-        max_batch=args.max_batch,
-        max_queue=args.max_queue,
-        max_queue_per_client=args.max_queue_per_client,
-        replica_id=args.replica_id,
-        trace_file=args.trace_file,
-        slo=args.slo,
-        flight=args.flight,
-    )
+    else:
+        main = serve_async(
+            host=args.host,
+            port=args.port,
+            options=_runtime_options(args),
+            window=args.batch_window,
+            max_batch=args.max_batch,
+            max_queue=args.max_queue,
+            max_queue_per_client=args.max_queue_per_client,
+            replica_id=args.replica_id,
+            trace_file=args.trace_file,
+            slo=args.slo,
+            flight=args.flight,
+        )
+    run(main)
     return 0
 
 

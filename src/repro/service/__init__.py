@@ -14,7 +14,9 @@ and splits into five layers:
   specs via their canonical fingerprints;
 * :mod:`repro.service.http` — the JSON HTTP API (``POST /v1/verify``,
   ``POST /v1/synthesize``, ``GET /v1/jobs/<id>``, ``GET /healthz``,
-  ``GET /statsz``) with request validation and graceful drain;
+  ``GET /statsz``) with request validation, and the serving core
+  (connection handling, lifecycle with graceful drain, SLO loop) that
+  the router runs on too;
 * :mod:`repro.service.router` — the sharded-cluster tier: a
   consistent-hash router that keeps each spec family on the replica
   holding its warm session, plus the replica supervisor behind

@@ -42,6 +42,13 @@ is terminal (bounded by ``wait_timeout``).  Synthesize bodies add a
 On SIGTERM/SIGINT the server **drains**: new submissions get 503,
 ``GET`` stays available for polling, in-flight and queued jobs run to
 completion, then the process exits.
+
+The bottom half of this module is the serving core that the cluster
+router (:mod:`repro.service.router`) runs on too: one HTTP message
+reader, connection handler, method table, server lifecycle, threaded
+start and SLO loop.  An *app* served by :func:`serve_app` provides
+``role``, ``start()``, ``drain()``, ``log_fields()`` and ``handle(method,
+target, body, parent)``.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from urllib.parse import parse_qs
 
@@ -75,21 +82,21 @@ from repro.smt.solver import engine_signature
 
 _LOG = get_logger("repro.service")
 
-#: endpoints that may appear as a metric label (bounds cardinality)
-_KNOWN_PATHS = (
-    "/healthz",
-    "/statsz",
-    "/metricsz",
-    "/sloz",
-    "/debugz/flight",
-    "/v1/verify",
-    "/v1/synthesize",
-    "/v1/incidents",
-)
-
-#: sentinel for a request body that was present but not valid JSON;
-#: routed through ``handle`` so the 400 still gets metrics and a span
-_INVALID_BODY: Any = object()
+#: every endpoint of the service and the router -> the methods it
+#: answers; the keys are also the bounded set of ``path`` metric labels
+_METHODS: Dict[str, Tuple[str, ...]] = {
+    "/healthz": ("GET",),
+    "/statsz": ("GET",),
+    "/metricsz": ("GET",),
+    "/sloz": ("GET",),
+    "/debugz/flight": ("GET",),
+    "/clusterz": ("GET",),
+    "/clusterz/metrics": ("GET",),
+    "/v1/jobs/:id": ("GET",),
+    "/v1/verify": ("POST",),
+    "/v1/synthesize": ("POST",),
+    "/v1/incidents": ("GET", "POST"),
+}
 
 _M_REQUESTS = obs_metrics.counter(
     "repro_http_requests_total",
@@ -104,10 +111,10 @@ _M_REQUEST_SECONDS = obs_metrics.histogram(
 
 
 def _metric_path(path: str) -> str:
-    """Collapse request targets onto a bounded endpoint label set."""
+    """Collapse request paths onto the bounded ``_METHODS`` key set."""
     if path.startswith("/v1/jobs/"):
         return "/v1/jobs/:id"
-    if path in _KNOWN_PATHS:
+    if path in _METHODS:
         return path
     return "other"
 
@@ -142,6 +149,37 @@ def _require(
 ) -> None:
     if not condition:
         raise RequestError(message, status, code)
+
+
+def _check_method(endpoint: str, method: str) -> None:
+    """405 for a known endpoint asked with a method it does not answer."""
+    allowed = _METHODS.get(endpoint, (method,))
+    _require(method in allowed, f"use {' or '.join(allowed)}", 405)
+
+
+def _parse_json(raw: bytes) -> Any:
+    """The request body as JSON (None when empty); 400 when malformed."""
+    if not raw:
+        return None
+    try:
+        return json.loads(raw)
+    except ValueError:
+        raise RequestError("request body is not valid JSON", code="invalid_json")
+
+
+def _slo_summary(slo: Optional[SloEvaluator]) -> Optional[Dict[str, int]]:
+    if slo is None:
+        return None
+    return {"slos": len(slo.config.slos), "alerts": len(slo.alerts())}
+
+
+def _sloz(slo: Optional[SloEvaluator]) -> Dict[str, Any]:
+    """``GET /sloz``: the evaluator's state; 404 when ``--slo`` is off."""
+    if slo is None:
+        raise RequestError(
+            "SLO monitoring is not enabled (start with --slo)", 404, "slo_disabled"
+        )
+    return slo.status()
 
 
 def _query_int(query: Dict[str, str], name: str) -> Optional[int]:
@@ -213,6 +251,8 @@ def _parse_common(body: Dict[str, Any]) -> Dict[str, Any]:
 class ServiceApp:
     """Routing + validation over one queue/scheduler/cache triple."""
 
+    role = "service"
+
     def __init__(
         self,
         options: Optional[RuntimeOptions] = None,
@@ -241,31 +281,34 @@ class ServiceApp:
         self.slo: Optional[SloEvaluator] = (
             SloEvaluator(slo_config) if slo_config is not None else None
         )
-        self._slo_seq = 0
         self.started_wall = time.time()
         self.started_mono = time.monotonic()
-        self._scheduler_task: Optional[asyncio.Task] = None
-        self._slo_task: Optional[asyncio.Task] = None
+        self._tasks: List[asyncio.Task] = []
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        self._scheduler_task = asyncio.create_task(self.scheduler.run())
+        self._tasks.append(asyncio.create_task(self.scheduler.run()))
         if self.slo is not None:
-            self._slo_task = asyncio.create_task(self._slo_loop())
+            self._tasks.append(
+                asyncio.create_task(
+                    slo_loop(self.slo, self._scrape, self._file_incident)
+                )
+            )
 
     async def drain(self) -> None:
         """Stop taking work, finish what's queued/running, stop scheduling."""
         self.draining = True
         await self.queue.join()
-        for task_name in ("_scheduler_task", "_slo_task"):
-            task = getattr(self, task_name)
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-                setattr(self, task_name, None)
+        await _cancel(self._tasks)
+
+    def log_fields(self) -> Dict[str, Any]:
+        """Self-identification stamped on lifecycle log events."""
+        return {
+            "replica": self.replica_id,
+            "runtime": self.options.describe(),
+            "engine": engine_signature(),
+            "queue": self.queue.snapshot(),
+        }
 
     # ------------------------------------------------------------------
     def _on_job_terminal(self, job: Any, state: str) -> None:
@@ -288,52 +331,19 @@ class ServiceApp:
             },
         )
 
-    async def _slo_loop(self) -> None:
-        """Periodically evaluate SLOs over this replica's own registry."""
-        assert self.slo is not None
-        interval = max(0.05, float(self.slo.config.interval_seconds))
-        while True:
-            await asyncio.sleep(interval)
-            try:
-                events = self.slo.sample_text(self.metricsz())
-            except Exception as exc:  # evaluation must never kill the app
-                _LOG.warning("slo.sample_failed", error=str(exc))
-                continue
-            for event in events:
-                self._publish_slo_alert(event)
+    async def _scrape(self) -> str:
+        return self.metricsz()
 
-    def _publish_slo_alert(self, event: Dict[str, Any]) -> None:
+    async def _file_incident(self, payload: Dict[str, Any]) -> None:
         """An SLO burn alert becomes a first-class monitor incident."""
-        self._slo_seq += 1
-        payload = alert_to_incident_payload(event, self._slo_seq)
-        try:
-            incident = Incident.from_payload(payload)
-        except ValueError:
-            return
-        self.incidents.add(incident)
-        recorder = get_flight_recorder()
-        if recorder.enabled:
-            recorder.trigger(
-                "slo_burn",
-                trace_id=event.get("exemplar_trace_id"),
-                detail={"slo": event.get("slo"), "severity": event.get("severity")},
-            )
-        _LOG.warning(
-            "slo.burn_alert",
-            slo=event.get("slo"),
-            severity=event.get("severity"),
-            windows=event.get("windows"),
-            budget_remaining=event.get("budget_remaining"),
-            exemplar_trace_id=event.get("exemplar_trace_id"),
-        )
+        self.incidents.add(Incident.from_payload(payload))
 
     # ------------------------------------------------------------------
     async def handle(
         self,
         method: str,
-        path: str,
-        body: Optional[Dict[str, Any]],
-        query: Optional[Dict[str, str]] = None,
+        target: str,
+        raw_body: bytes = b"",
         parent: Optional[Dict[str, str]] = None,
     ) -> Tuple[int, Any]:
         """Route one request; the payload is a JSON dict, or raw text for
@@ -343,18 +353,20 @@ class ServiceApp:
         ``X-Trace-Context`` header): the request span joins that trace
         instead of starting a fresh one.
         """
+        path, _, raw_query = target.partition("?")
         endpoint = _metric_path(path)
         start = time.monotonic()
         with get_tracer().span(
             "http.request", parent=parent, method=method, path=path
         ) as span:
             try:
-                _require(
-                    body is not _INVALID_BODY,
-                    "request body is not valid JSON",
-                    code="invalid_json",
+                status, payload = await self._route(
+                    method,
+                    endpoint,
+                    path,
+                    _parse_json(raw_body),
+                    _parse_query(raw_query),
                 )
-                status, payload = await self._route(method, path, body, query or {})
             except RequestError as exc:
                 status, payload = exc.status, {"error": str(exc), "code": exc.code}
             except QueueFull as exc:
@@ -382,12 +394,13 @@ class ServiceApp:
     async def _route(
         self,
         method: str,
+        endpoint: str,
         path: str,
-        body: Optional[Dict[str, Any]],
+        body: Any,
         query: Dict[str, str],
     ) -> Tuple[int, Any]:
-        if path == "/healthz":
-            _require(method == "GET", "use GET", 405)
+        _check_method(endpoint, method)
+        if endpoint == "/healthz":
             return 200, {
                 "status": "draining" if self.draining else "ok",
                 "uptime_seconds": time.monotonic() - self.started_mono,
@@ -397,45 +410,30 @@ class ServiceApp:
                 "runtime": self.options.describe(),
                 "engine": engine_signature(),
             }
-        if path == "/statsz":
-            _require(method == "GET", "use GET", 405)
+        if endpoint == "/statsz":
             return 200, self.statsz()
-        if path == "/metricsz":
-            _require(method == "GET", "use GET", 405)
+        if endpoint == "/metricsz":
             return 200, self.metricsz()
-        if path == "/sloz":
-            _require(method == "GET", "use GET", 405)
-            _require(
-                self.slo is not None,
-                "SLO monitoring is not enabled (start with --slo)",
-                404,
-                code="slo_disabled",
-            )
-            assert self.slo is not None
-            return 200, self.slo.status()
-        if path == "/debugz/flight":
-            _require(method == "GET", "use GET", 405)
+        if endpoint == "/sloz":
+            return 200, _sloz(self.slo)
+        if endpoint == "/debugz/flight":
             recorder = get_flight_recorder()
             trace_id = query.get("trace_id")
             if trace_id and recorder.enabled and not recorder.snapshots(trace_id):
                 # on-demand freeze: capture whatever the ring still holds
                 recorder.trigger("on_demand", trace_id=trace_id)
             return 200, recorder.payload(trace_id)
-        if path.startswith("/v1/jobs/"):
-            _require(method == "GET", "use GET", 405)
+        if endpoint == "/v1/jobs/:id":
             job = self.queue.get(path[len("/v1/jobs/") :])
-            _require(job is not None, "unknown job id", 404)
+            _require(job is not None, "unknown job id", 404, "not_found")
             return 200, job.describe()
-        if path == "/v1/verify":
-            _require(method == "POST", "use POST", 405)
+        if endpoint == "/v1/verify":
             return await self._submit_verify(body)
-        if path == "/v1/synthesize":
-            _require(method == "POST", "use POST", 405)
+        if endpoint == "/v1/synthesize":
             return await self._submit_synthesize(body)
-        if path == "/v1/incidents":
+        if endpoint == "/v1/incidents":
             if method == "POST":
                 return self._ingest_incident(body)
-            _require(method == "GET", "use GET or POST", 405)
             return self._query_incidents(query)
         raise RequestError(f"no such endpoint: {path}", 404, "not_found")
 
@@ -592,10 +590,7 @@ class ServiceApp:
                 "enabled": get_flight_recorder().enabled,
                 **get_flight_recorder().counters,
             },
-            "slo": None if self.slo is None else {
-                "slos": len(self.slo.config.slos),
-                "alerts": len(self.slo.alerts()),
-            },
+            "slo": _slo_summary(self.slo),
         }
 
     def metricsz(self) -> str:
@@ -606,16 +601,15 @@ class ServiceApp:
 # ----------------------------------------------------------------------
 # wire protocol
 # ----------------------------------------------------------------------
-async def _read_request(
+async def _read_message(
     reader: asyncio.StreamReader,
-) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-    request_line = await reader.readline()
-    if not request_line:
-        return None
-    parts = request_line.decode("latin-1").split()
+) -> Optional[Tuple[List[str], Dict[str, str], bytes]]:
+    """One HTTP/1.1 message: (start-line fields, lower-cased headers,
+    body).  Requests (``GET /path HTTP/1.1``) and replica answers
+    (``HTTP/1.1 200 OK``) share the framing; None on an empty stream."""
+    parts = (await reader.readline()).decode("latin-1").split()
     if len(parts) < 2:
         return None
-    method, target = parts[0].upper(), parts[1]
     headers: Dict[str, str] = {}
     while True:
         line = await reader.readline()
@@ -628,7 +622,7 @@ async def _read_request(
     except ValueError:
         length = 0
     body = await reader.readexactly(length) if length > 0 else b""
-    return method, target, headers, body
+    return parts, headers, body
 
 
 def _parse_query(raw: str) -> Dict[str, str]:
@@ -672,34 +666,19 @@ def _encode_response(status: int, payload: Any) -> bytes:
 
 
 async def _handle_connection(
-    app: ServiceApp, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    app: Any, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
 ) -> None:
     try:
         try:
-            request = await asyncio.wait_for(_read_request(reader), timeout=30.0)
+            request = await asyncio.wait_for(_read_message(reader), timeout=30.0)
         except (asyncio.TimeoutError, asyncio.IncompleteReadError, ValueError):
             request = None
         if request is None:
             return
-        method, target, headers, raw_body = request
-        path, _, raw_query = target.partition("?")
-        body: Optional[Dict[str, Any]]
-        if raw_body:
-            try:
-                body = json.loads(raw_body)
-            except ValueError:
-                # routed through handle() so the 400 is still metered,
-                # spanned, and answered in the structured error shape
-                body = _INVALID_BODY
-        else:
-            body = None
+        (method, target, *_), headers, body = request
         try:
             status, payload = await app.handle(
-                method,
-                path,
-                body,
-                query=_parse_query(raw_query),
-                parent=_parse_trace_header(headers),
+                method.upper(), target, body, parent=_parse_trace_header(headers)
             )
         except Exception as exc:  # never leak a traceback as a hung socket
             status, payload = 500, {
@@ -721,12 +700,90 @@ async def _handle_connection(
 # ----------------------------------------------------------------------
 # lifecycle
 # ----------------------------------------------------------------------
+async def _cancel(tasks: List[asyncio.Task]) -> None:
+    """Cancel an app's background loops and wait until they are gone."""
+    for task in tasks:
+        task.cancel()
+        try:
+            await task
+        except asyncio.CancelledError:
+            pass
+    tasks.clear()
+
+
+async def slo_loop(
+    slo: SloEvaluator,
+    scrape: Callable[[], Awaitable[str]],
+    deliver: Callable[[Dict[str, Any]], Awaitable[None]],
+) -> None:
+    """Evaluate ``slo`` over ``scrape()`` every interval, forever.
+
+    Each burn alert freezes a ``slo_burn`` flight snapshot, is logged
+    once, and is handed to ``deliver`` as a ``slo_burn`` incident
+    payload.  Only the top process of a topology runs this loop, so an
+    alert fires once per deployment.
+    """
+    interval = max(0.05, float(slo.config.interval_seconds))
+    seq = 0
+    while True:
+        await asyncio.sleep(interval)
+        try:
+            events = slo.sample_text(await scrape())
+        except Exception as exc:  # evaluation must never kill the app
+            _LOG.warning("slo.sample_failed", error=str(exc))
+            continue
+        for event in events:
+            seq += 1
+            recorder = get_flight_recorder()
+            if recorder.enabled:
+                recorder.trigger(
+                    "slo_burn",
+                    trace_id=event.get("exemplar_trace_id"),
+                    detail={"slo": event.get("slo"), "severity": event.get("severity")},
+                )
+            _LOG.warning(
+                "slo.burn_alert",
+                slo=event.get("slo"),
+                severity=event.get("severity"),
+                windows=event.get("windows"),
+                budget_remaining=event.get("budget_remaining"),
+                exemplar_trace_id=event.get("exemplar_trace_id"),
+            )
+            try:
+                await deliver(alert_to_incident_payload(event, seq))
+            except Exception as exc:  # a lost incident must not stop alerting
+                _LOG.warning("slo.incident_failed", error=str(exc))
+
+
+def configure_observability(
+    trace_file: Optional[str], slo: Any, flight: Any
+) -> Optional[SloConfig]:
+    """The ``--trace-file`` / ``--flight`` / ``--slo`` setup of a serving
+    process; returns the SLO config, or None when ``--slo`` is off.
+
+    ``slo`` is True for the built-in objectives or a JSON config path
+    (see :func:`repro.obs.slo.load_slo_config`); ``flight`` is True or
+    a JSONL sink path.
+    """
+    if trace_file is not None:
+        configure_tracing(enabled=True, jsonl_path=trace_file)
+    if flight:
+        configure_flight(
+            enabled=True, sink_path=flight if isinstance(flight, str) else None
+        )
+    obs_metrics.record_build_info()
+    if not slo:
+        return None
+    return load_slo_config(slo if isinstance(slo, str) else None)
+
+
 @dataclass
 class ServerHandle:
-    """Cross-thread control surface returned by :func:`start_in_thread`."""
+    """Cross-thread control surface of a server started by
+    :func:`start_thread`."""
 
     loop: asyncio.AbstractEventLoop
-    app: ServiceApp
+    app: Any
     host: str
     port: int
     thread: Optional[threading.Thread] = None
@@ -746,59 +803,18 @@ class ServerHandle:
             self.thread.join(timeout)
 
 
-async def serve_async(
-    host: str = "127.0.0.1",
-    port: int = 8321,
-    options: Optional[RuntimeOptions] = None,
-    window: float = 0.05,
-    max_batch: int = 64,
-    max_queue: int = 10_000,
-    max_queue_per_client: Optional[int] = None,
-    replica_id: Optional[str] = None,
+async def serve_app(
+    app: Any,
+    host: str,
+    port: int,
     ready: Optional[Callable[[ServerHandle], None]] = None,
     install_signal_handlers: bool = True,
     log: Callable[[str], None] = print,
-    trace_file: Optional[str] = None,
-    slo: Any = None,
-    flight: Any = None,
 ) -> None:
-    """Run the service until SIGTERM/SIGINT, then drain gracefully.
-
-    ``trace_file`` enables span tracing with a JSONL sink at that path
-    (equivalent to ``REPRO_TRACE_FILE``); lifecycle events additionally
-    go to the structured JSON log, stamped with the runtime knobs and
-    the solver engine signature so scraped deployments self-identify.
-    ``replica_id`` names this process in a sharded cluster (surfaced in
-    ``/healthz`` and ``/statsz``); ``max_queue_per_client`` bounds any
-    one client's queued jobs (429 ``queue_full`` beyond it).
-
-    ``slo`` turns on burn-rate SLO monitoring: True evaluates the
-    built-in objectives, a string loads a JSON config file (see
-    :func:`repro.obs.slo.load_slo_config`); alerts surface as
-    ``slo_burn`` incidents and ``GET /sloz``.  ``flight`` arms the
-    flight recorder (True, or a JSONL sink path) so 5xx answers, job
-    failures/deadline misses and SLO alerts freeze a redacted snapshot
-    at ``GET /debugz/flight``.  Both are off by default.
-    """
-    if trace_file is not None:
-        configure_tracing(enabled=True, jsonl_path=trace_file)
-    if flight:
-        configure_flight(
-            enabled=True, sink_path=flight if isinstance(flight, str) else None
-        )
-    slo_config = None
-    if slo:
-        slo_config = load_slo_config(slo if isinstance(slo, str) else None)
-    obs_metrics.record_build_info()
-    app = ServiceApp(
-        options=options,
-        window=window,
-        max_batch=max_batch,
-        max_queue=max_queue,
-        max_queue_per_client=max_queue_per_client,
-        replica_id=replica_id,
-        slo_config=slo_config,
-    )
+    """Serve ``app`` until SIGTERM/SIGINT (or ``request_shutdown()``),
+    then drain it: new submissions are refused while ``GET`` keeps
+    answering, and the listener closes once ``app.drain()`` returns."""
+    events = get_logger(f"repro.{app.role}")
     await app.start()
     server = await asyncio.start_server(
         lambda r, w: _handle_connection(app, r, w), host, port
@@ -815,52 +831,93 @@ async def serve_async(
     handle = ServerHandle(loop=loop, app=app, host=host, port=bound_port, _stop=stop)
     if ready is not None:
         ready(handle)
-    _LOG.info(
-        "service.listening",
+    events.info(
+        f"{app.role}.listening",
         host=host,
         port=bound_port,
-        replica=replica_id,
-        runtime=app.options.describe(),
-        engine=engine_signature(),
         tracing=get_tracer().snapshot(),
+        **app.log_fields(),
     )
-    tag = "" if replica_id is None else f" (replica {replica_id})"
-    log(f"repro service listening on http://{host}:{bound_port}{tag}")
+    log(f"repro {app.role} listening on http://{host}:{bound_port}")
     try:
         await stop.wait()
     finally:
-        _LOG.info("service.draining", unfinished=app.queue.unfinished())
-        log("repro service draining ...")
-        # refuse new jobs but keep answering polls while work completes
+        events.info(f"{app.role}.draining", **app.log_fields())
+        log(f"repro {app.role} draining ...")
         await app.drain()
         server.close()
         await server.wait_closed()
-        _LOG.info("service.stopped", queue=app.queue.snapshot())
-        log("repro service stopped")
+        events.info(f"{app.role}.stopped", **app.log_fields())
+        log(f"repro {app.role} stopped")
 
 
-def serve(**kwargs: Any) -> None:
-    """Blocking entry point used by ``python -m repro.cli serve``."""
+async def serve_async(
+    host: str = "127.0.0.1",
+    port: int = 8321,
+    options: Optional[RuntimeOptions] = None,
+    window: float = 0.05,
+    max_batch: int = 64,
+    max_queue: int = 10_000,
+    max_queue_per_client: Optional[int] = None,
+    replica_id: Optional[str] = None,
+    trace_file: Optional[str] = None,
+    slo: Any = None,
+    flight: Any = None,
+    **serve_kwargs: Any,
+) -> None:
+    """Run the service until SIGTERM/SIGINT, then drain gracefully.
+
+    ``trace_file`` enables span tracing with a JSONL sink at that path
+    (equivalent to ``REPRO_TRACE_FILE``); lifecycle events additionally
+    go to the structured JSON log, stamped with the runtime knobs and
+    the solver engine signature so scraped deployments self-identify.
+    ``replica_id`` names this process in a sharded cluster (surfaced in
+    ``/healthz`` and ``/statsz``); ``max_queue_per_client`` bounds any
+    one client's queued jobs (429 ``queue_full`` beyond it).
+
+    ``slo`` turns on burn-rate SLO monitoring (alerts surface as
+    ``slo_burn`` incidents and ``GET /sloz``); ``flight`` arms the
+    flight recorder so 5xx answers, job failures/deadline misses and SLO
+    alerts freeze a redacted snapshot at ``GET /debugz/flight``.  Both
+    are off by default (see :func:`configure_observability`).
+    ``serve_kwargs`` (``ready``, ``install_signal_handlers``, ``log``)
+    go to :func:`serve_app`.
+    """
+    app = ServiceApp(
+        options=options,
+        window=window,
+        max_batch=max_batch,
+        max_queue=max_queue,
+        max_queue_per_client=max_queue_per_client,
+        replica_id=replica_id,
+        slo_config=configure_observability(trace_file, slo, flight),
+    )
+    await serve_app(app, host, port, **serve_kwargs)
+
+
+def run(main: Awaitable[None]) -> None:
+    """Blocking entry point of ``repro serve``: run ``main`` to the end
+    of its drain (Ctrl-C included)."""
     try:
-        asyncio.run(serve_async(**kwargs))
+        asyncio.run(main)
     except KeyboardInterrupt:
         pass
 
 
-def start_in_thread(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    log: Callable[[str], None] = lambda message: None,
-    **kwargs: Any,
+def start_thread(
+    name: str, serve: Callable[..., Awaitable[None]], *args: Any, **kwargs: Any
 ) -> ServerHandle:
-    """Run the service on a daemon thread; block until it is accepting.
+    """Run ``serve(*args, **kwargs)`` on a daemon thread; block until it
+    is accepting.
 
-    The returned handle exposes the bound port (``port=0`` picks a free
-    one), the app (for white-box assertions in tests) and
+    The returned handle exposes the bound port (``port`` defaults to 0,
+    a free one), the app (for white-box assertions in tests) and
     ``request_shutdown()``, which triggers the same graceful drain as
     SIGTERM.  Signal handlers are not installed — the host thread owns
-    signals.
+    signals — and the console banner is silenced.
     """
+    kwargs.setdefault("port", 0)
+    kwargs.setdefault("log", lambda message: None)
     box: Dict[str, Any] = {}
     started = threading.Event()
 
@@ -871,25 +928,23 @@ def start_in_thread(
     def _run() -> None:
         try:
             asyncio.run(
-                serve_async(
-                    host=host,
-                    port=port,
-                    ready=_ready,
-                    install_signal_handlers=False,
-                    log=log,
-                    **kwargs,
-                )
+                serve(*args, ready=_ready, install_signal_handlers=False, **kwargs)
             )
         except Exception as exc:  # surface startup failures to the caller
             box["error"] = exc
             started.set()
 
-    thread = threading.Thread(target=_run, name="repro-service", daemon=True)
+    thread = threading.Thread(target=_run, name=f"repro-{name}", daemon=True)
     thread.start()
     if not started.wait(timeout=30.0):
-        raise RuntimeError("service failed to start within 30 s")
+        raise RuntimeError(f"{name} failed to start within 30 s")
     if "error" in box:
-        raise RuntimeError(f"service failed to start: {box['error']}")
+        raise RuntimeError(f"{name} failed to start: {box['error']}")
     handle: ServerHandle = box["handle"]
     handle.thread = thread
     return handle
+
+
+def start_in_thread(**kwargs: Any) -> ServerHandle:
+    """Run the service (:func:`serve_async` arguments) on a daemon thread."""
+    return start_thread("service", serve_async, **kwargs)

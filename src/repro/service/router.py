@@ -15,6 +15,8 @@ service into a small cluster with the same wire protocol:
   :class:`~repro.core.verification.VerificationSession`.  Job polls
   follow a job→owner map (with broadcast fallback), incidents live on
   the first replica in ring order, ``/statsz`` aggregates the fleet.
+  It is served by the same HTTP core as a replica
+  (:func:`repro.service.http.serve_app`).
 * :class:`ClusterSupervisor` — spawns N ``repro serve`` subprocesses on
   free ports and restarts any that die on the same port under the same
   replica id (so the ring never changes shape).
@@ -28,10 +30,13 @@ re-asked on a survivor is answered from cache instead of re-solved.
 **Failure semantics.**  A forward that cannot reach its replica marks
 the replica down and fails over along the preference order within the
 same request; a ~0.5 s health loop probes downed replicas back alive.
-Requests pinned to a replica id that is not in the ring are rejected
-with a structured 503 ``code="unknown_replica"``; a router with no
-live replica answers 503 ``code="no_replicas"``; admission control
-beyond ``max_inflight`` answers 429 ``code="queue_full"``.
+A replica that accepts a forward but does not answer within
+``_FORWARD_TIMEOUT`` is slow, not dead: it stays up, the request is not
+re-sent, and the caller gets 502 ``code="replica_error"``.  Requests
+pinned to a replica id that is not in the ring are rejected with a
+structured 503 ``code="unknown_replica"``; a router with no live
+replica answers 503 ``code="no_replicas"``; admission control beyond
+``max_inflight`` answers 429 ``code="queue_full"``.
 
 **Tracing.**  The router opens a ``router.request`` span parented on
 the caller's ``X-Trace-Context`` and forwards *its own* context to the
@@ -47,7 +52,6 @@ import hashlib
 import json
 import os
 import pathlib
-import signal
 import socket
 import subprocess
 import sys
@@ -62,15 +66,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.io import parse_spec
 from repro.obs import agg as obs_agg
 from repro.obs import metrics as obs_metrics
-from repro.obs.flight import configure_flight, get_flight_recorder
+from repro.obs.flight import get_flight_recorder
 from repro.obs.logging import get_logger
-from repro.obs.slo import (
-    SloConfig,
-    SloEvaluator,
-    alert_to_incident_payload,
-    load_slo_config,
-)
-from repro.obs.trace import configure_tracing, get_tracer
+from repro.obs.slo import SloConfig, SloEvaluator
+from repro.obs.trace import get_tracer
 from repro.runtime.serialize import (
     canonical_json,
     family_fingerprint,
@@ -78,13 +77,31 @@ from repro.runtime.serialize import (
 )
 from repro.service.http import (
     RequestError,
-    _encode_response,
+    ServerHandle,
+    _cancel,
+    _check_method,
+    _metric_path,
     _parse_query,
-    _parse_trace_header,
-    _read_request,
+    _read_message,
+    _slo_summary,
+    _sloz,
+    configure_observability,
+    slo_loop,
+    serve_app,
+    start_thread,
 )
 
 _LOG = get_logger("repro.router")
+
+#: forwards in flight at once before submissions are shed with 429
+_MAX_INFLIGHT = 256
+#: seconds between health probes of downed replicas
+_HEALTH_INTERVAL = 0.5
+#: seconds a replica may take to answer one forward; a ``"wait": true``
+#: submission holds its forward open for up to its ``wait_timeout``
+_FORWARD_TIMEOUT = 120.0
+#: seconds between the supervisor's checks for dead replica processes
+_POLL_INTERVAL = 0.5
 
 _M_REQUESTS = obs_metrics.counter(
     "repro_router_requests_total",
@@ -196,13 +213,11 @@ class ReplicaDown(ConnectionError):
 class RouterApp:
     """Routing, admission and failover over a fixed set of replicas."""
 
+    role = "router"
+
     def __init__(
         self,
         replicas: Sequence[ReplicaEndpoint],
-        vnodes: int = 64,
-        max_inflight: int = 256,
-        health_interval: float = 0.5,
-        forward_timeout: float = 120.0,
         slo_config: Optional[SloConfig] = None,
     ) -> None:
         if not replicas:
@@ -212,10 +227,8 @@ class RouterApp:
         }
         if len(self.replicas) != len(replicas):
             raise ValueError("replica ids must be unique")
-        self.ring = HashRing(list(self.replicas), vnodes=vnodes)
-        self.max_inflight = max_inflight
-        self.health_interval = health_interval
-        self.forward_timeout = forward_timeout
+        self.ring = HashRing(list(self.replicas))
+        self.max_inflight = _MAX_INFLIGHT
         self.draining = False
         self.inflight = 0
         self.started_mono = time.monotonic()
@@ -231,43 +244,44 @@ class RouterApp:
         # cannot grow without bound; misses fall back to broadcast
         self._job_owner: "OrderedDict[str, str]" = OrderedDict()
         self._job_owner_limit = 65_536
-        self._health_task: Optional[asyncio.Task] = None
         # cluster-level SLO evaluation runs on the router (over the
         # merged scrape) so each burn alert fires exactly once for the
         # whole fleet, not once per replica
         self.slo: Optional[SloEvaluator] = (
             SloEvaluator(slo_config) if slo_config is not None else None
         )
-        self._slo_seq = 0
-        self._slo_task: Optional[asyncio.Task] = None
+        self._tasks: List[asyncio.Task] = []
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        self._health_task = asyncio.create_task(self._health_loop())
+        self._tasks.append(asyncio.create_task(self._health_loop()))
         if self.slo is not None:
-            self._slo_task = asyncio.create_task(self._slo_loop())
+            self._tasks.append(
+                asyncio.create_task(
+                    slo_loop(self.slo, self.cluster_metrics, self._file_incident)
+                )
+            )
 
-    async def stop(self) -> None:
-        for task_name in ("_health_task", "_slo_task"):
-            task = getattr(self, task_name)
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-                setattr(self, task_name, None)
+    async def drain(self) -> None:
+        """Refuse new submissions; stop the health and SLO loops.  The
+        replicas drain their own queues when the supervisor stops them."""
+        self.draining = True
+        await _cancel(self._tasks)
+
+    def log_fields(self) -> Dict[str, Any]:
+        """Self-identification stamped on lifecycle log events."""
+        return {"replicas": sorted(self.replicas), "counters": dict(self.counters)}
 
     async def _health_loop(self) -> None:
         """Probe downed replicas back alive (forwards mark them down)."""
         while True:
-            await asyncio.sleep(self.health_interval)
+            await asyncio.sleep(_HEALTH_INTERVAL)
             for replica in list(self.replicas.values()):
                 if replica.alive:
                     continue
                 try:
-                    status, _, _ = await self._forward(
-                        replica, "GET", "/healthz", b"", None, mark_down=False
+                    status, _ = await self._forward(
+                        replica, "GET", "/healthz", b"", None
                     )
                 except (ReplicaDown, asyncio.TimeoutError):
                     continue
@@ -276,16 +290,20 @@ class RouterApp:
                     replica.last_error = None
                     _LOG.info("router.replica_up", replica=replica.replica_id)
 
+    async def _file_incident(self, payload: Dict[str, Any]) -> None:
+        """Post an SLO burn incident to the incident home replica."""
+        body = json.dumps(payload).encode("utf-8")
+        await self._route_incidents("POST", "/v1/incidents", body, {}, None)
+
     # ------------------------------------------------------------------
-    def _mark_down(self, replica: ReplicaEndpoint, error: Exception) -> None:
+    def _mark_down(self, replica: ReplicaEndpoint, error: Exception) -> ReplicaDown:
+        """Record ``replica`` as down; returns the error to raise."""
+        detail = f"{type(error).__name__}: {error}"
         if replica.alive:
-            _LOG.info(
-                "router.replica_down",
-                replica=replica.replica_id,
-                error=f"{type(error).__name__}: {error}",
-            )
+            _LOG.info("router.replica_down", replica=replica.replica_id, error=detail)
         replica.alive = False
-        replica.last_error = f"{type(error).__name__}: {error}"
+        replica.last_error = detail
+        return ReplicaDown(f"replica {replica.replica_id}: {error}")
 
     async def _forward(
         self,
@@ -294,15 +312,18 @@ class RouterApp:
         target: str,
         body: bytes,
         parent: Optional[Dict[str, str]],
-        mark_down: bool = True,
-    ) -> Tuple[int, bytes, str]:
-        """One proxied exchange; raises :class:`ReplicaDown` on failure."""
+    ) -> Tuple[int, Any]:
+        """One proxied exchange: (status, decoded payload).
+
+        Raises :class:`ReplicaDown`, marking the replica down, when it
+        cannot be reached or its answer is torn; raises
+        ``asyncio.TimeoutError`` when it stays silent past
+        ``_FORWARD_TIMEOUT``.
+        """
         try:
             reader, writer = await asyncio.open_connection(replica.host, replica.port)
         except OSError as exc:
-            if mark_down:
-                self._mark_down(replica, exc)
-            raise ReplicaDown(f"replica {replica.replica_id}: {exc}") from exc
+            raise self._mark_down(replica, exc) from exc
         try:
             head = (
                 f"{method} {target} HTTP/1.1\r\n"
@@ -315,29 +336,34 @@ class RouterApp:
                 head += "X-Trace-Context: " + json.dumps(parent) + "\r\n"
             writer.write(head.encode("latin-1") + b"\r\n" + body)
             await writer.drain()
-            raw = await asyncio.wait_for(reader.read(-1), timeout=self.forward_timeout)
-        except (OSError, asyncio.IncompleteReadError) as exc:
-            if mark_down:
-                self._mark_down(replica, exc)
-            raise ReplicaDown(f"replica {replica.replica_id}: {exc}") from exc
+            answer = await asyncio.wait_for(
+                _read_message(reader), timeout=_FORWARD_TIMEOUT
+            )
+        except asyncio.TimeoutError:
+            # a slow replica is alive: it stays up and the request is not
+            # re-sent elsewhere (this clause must precede OSError, which
+            # TimeoutError subclasses since Python 3.11)
+            raise asyncio.TimeoutError(
+                f"replica {replica.replica_id}: no answer within "
+                f"{_FORWARD_TIMEOUT:g} s"
+            ) from None
+        except (OSError, asyncio.IncompleteReadError, ValueError) as exc:
+            raise self._mark_down(replica, exc) from exc
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (OSError, asyncio.TimeoutError):
+            except OSError:
                 pass
-        status, payload, content_type = _parse_http_response(raw)
-        if status is None:
-            error = ReplicaDown(
-                f"replica {replica.replica_id}: truncated/invalid response"
-            )
-            if mark_down:
-                self._mark_down(replica, error)
-            raise error
+        if answer is None or not answer[0][1].isdigit():
+            raise self._mark_down(replica, ValueError("truncated/invalid response"))
+        status_line, headers, raw = answer
         replica.forwarded += 1
         self.counters["forwarded"] += 1
         _M_FORWARDS.inc(replica=replica.replica_id)
-        return status, payload, content_type
+        return int(status_line[1]), _decode_payload(
+            raw, headers.get("content-type", "")
+        )
 
     # ------------------------------------------------------------------
     def _route_key(self, raw_body: bytes) -> Tuple[str, str]:
@@ -399,13 +425,17 @@ class RouterApp:
         target: str,
         body: bytes,
         parent: Optional[Dict[str, str]],
+        past_404: bool = False,
     ) -> Tuple[int, Any, str]:
-        """Forward to the first candidate that answers; fail over on
-        replica loss.  Returns (status, decoded payload, replica id)."""
+        """Forward to the first candidate that answers, failing over on
+        replica loss — and, with ``past_404``, past candidates that
+        answer 404.  Dict answers are stamped with the answering
+        ``replica``.  Returns (status, payload, replica id)."""
+        answer: Optional[Tuple[int, Any, str]] = None
         last_error: Optional[str] = None
         for index, replica in enumerate(candidates):
             try:
-                status, raw, content_type = await self._forward(
+                status, payload = await self._forward(
                     replica, method, target, body, parent
                 )
             except ReplicaDown as exc:
@@ -414,9 +444,36 @@ class RouterApp:
                     self.counters["failovers"] += 1
                     _M_FAILOVERS.inc()
                 continue
-            return status, _decode_payload(raw, content_type), replica.replica_id
+            if isinstance(payload, dict):
+                payload.setdefault("replica", replica.replica_id)
+            answer = (status, payload, replica.replica_id)
+            if not (past_404 and status == 404):
+                return answer
+        if answer is not None:
+            return answer
         detail = f" (last error: {last_error})" if last_error else ""
         raise RequestError(f"no live replicas{detail}", 503, "no_replicas")
+
+    async def fan_out(
+        self, target: str, parent: Optional[Dict[str, str]]
+    ) -> Dict[str, Any]:
+        """``GET target`` on every replica at once: replica id -> its
+        decoded 200 answer, or ``{"error": ...}`` when it failed."""
+
+        async def one(replica: ReplicaEndpoint) -> Any:
+            try:
+                status, payload = await self._forward(
+                    replica, "GET", target, b"", parent
+                )
+            except (ReplicaDown, asyncio.TimeoutError) as exc:
+                return {"error": str(exc)}
+            return payload if status == 200 else {"error": payload}
+
+        replicas = [self.replicas[rid] for rid in sorted(self.replicas)]
+        answers = await asyncio.gather(*(one(replica) for replica in replicas))
+        return {
+            replica.replica_id: answer for replica, answer in zip(replicas, answers)
+        }
 
     # ------------------------------------------------------------------
     async def handle(
@@ -428,6 +485,7 @@ class RouterApp:
     ) -> Tuple[int, Any]:
         """Route one request; returns (status, JSON-able payload)."""
         path, _, raw_query = target.partition("?")
+        endpoint = _metric_path(path)
         self.counters["requests"] += 1
         with get_tracer().span(
             "router.request", parent=parent, method=method, path=path
@@ -438,58 +496,61 @@ class RouterApp:
             downstream = span.context_payload() or parent
             try:
                 status, payload = await self._route(
-                    method, path, target, raw_body, _parse_query(raw_query), downstream
+                    method,
+                    endpoint,
+                    path,
+                    target,
+                    raw_body,
+                    _parse_query(raw_query),
+                    downstream,
                 )
             except RequestError as exc:
                 self.counters["rejected"] += 1
                 status, payload = exc.status, {"error": str(exc), "code": exc.code}
-            except (ReplicaDown, asyncio.TimeoutError) as exc:
+            except asyncio.TimeoutError as exc:
                 status, payload = 502, {
                     "error": f"replica failure: {exc}",
                     "code": "replica_error",
                 }
             span.set(status=status)
-        _M_REQUESTS.inc(path=path if path.startswith("/") else "other", status=status)
+        _M_REQUESTS.inc(path=endpoint, status=status)
         return status, payload
 
     async def _route(
         self,
         method: str,
+        endpoint: str,
         path: str,
         target: str,
         raw_body: bytes,
         query: Dict[str, str],
         parent: Optional[Dict[str, str]],
     ) -> Tuple[int, Any]:
-        if path == "/healthz":
+        _check_method(endpoint, method)
+        if endpoint == "/healthz":
             return self._healthz()
-        if path == "/clusterz":
+        if endpoint == "/clusterz":
             return 200, self.clusterz()
-        if path == "/clusterz/metrics":
+        if endpoint == "/clusterz/metrics":
             return 200, await self.cluster_metrics(parent)
-        if path == "/statsz":
+        if endpoint == "/statsz":
             return 200, await self.statsz(parent)
-        if path == "/metricsz":
+        if endpoint == "/metricsz":
             return 200, obs_metrics.get_registry().render_prometheus()
-        if path == "/sloz":
-            if self.slo is None:
-                raise RequestError(
-                    "SLO evaluation not enabled (start with --slo)",
-                    404,
-                    "slo_disabled",
-                )
-            return 200, self.slo.status()
-        if path == "/debugz/flight":
-            return 200, await self.cluster_flight(query, parent)
-        if path in ("/v1/verify", "/v1/synthesize"):
-            if method != "POST":
-                raise RequestError("use POST", 405, "bad_request")
+        if endpoint == "/sloz":
+            return 200, _sloz(self.slo)
+        if endpoint == "/debugz/flight":
+            replicas = await self.fan_out(target, parent)
+            return 200, {
+                "role": "router",
+                "router": get_flight_recorder().payload(query.get("trace_id")),
+                "replicas": replicas,
+            }
+        if endpoint in ("/v1/verify", "/v1/synthesize"):
             return await self._route_submission(method, target, raw_body, query, parent)
-        if path.startswith("/v1/jobs/"):
-            return await self._route_job_poll(
-                method, path, target, raw_body, query, parent
-            )
-        if path == "/v1/incidents":
+        if endpoint == "/v1/jobs/:id":
+            return await self._route_job_poll(path, target, raw_body, query, parent)
+        if endpoint == "/v1/incidents":
             return await self._route_incidents(method, target, raw_body, query, parent)
         raise RequestError(f"no such endpoint: {path}", 404, "not_found")
 
@@ -522,43 +583,22 @@ class RouterApp:
             "max_inflight": self.max_inflight,
             "draining": self.draining,
             "job_owners": len(self._job_owner),
-            "slo": (
-                None
-                if self.slo is None
-                else {
-                    "slos": len(self.slo.config.slos),
-                    "alerts": len(self.slo.alerts()),
-                }
-            ),
+            "slo": _slo_summary(self.slo),
             "flight": get_flight_recorder().enabled,
         }
 
     async def statsz(self, parent: Optional[Dict[str, str]]) -> Dict[str, Any]:
-        """Router counters plus every live replica's ``/statsz``."""
-
-        async def one(replica: ReplicaEndpoint) -> Tuple[str, Any]:
-            try:
-                status, raw, content_type = await self._forward(
-                    replica, "GET", "/statsz", b"", parent
-                )
-            except (ReplicaDown, asyncio.TimeoutError) as exc:
-                return replica.replica_id, {"error": str(exc)}
-            payload = _decode_payload(raw, content_type)
-            return replica.replica_id, payload if status == 200 else {"error": payload}
-
-        pairs = await asyncio.gather(
-            *(one(replica) for _, replica in sorted(self.replicas.items()))
-        )
+        """Router counters plus every replica's ``/statsz``."""
+        replicas = await self.fan_out("/statsz", parent)
         return {
             "role": "router",
             "uptime_seconds": time.monotonic() - self.started_mono,
             "counters": dict(self.counters),
             "inflight": self.inflight,
-            "replicas": dict(pairs),
+            "replicas": replicas,
         }
 
-    # ------------------------------------------------------------------
-    async def cluster_metrics(self, parent: Optional[Dict[str, str]]) -> str:
+    async def cluster_metrics(self, parent: Optional[Dict[str, str]] = None) -> str:
         """``GET /clusterz/metrics``: one merged Prometheus exposition.
 
         Every reachable replica's ``/metricsz`` is scraped and merged
@@ -567,94 +607,13 @@ class RouterApp:
         router's own registry included as replica ``router``; per-series
         provenance is preserved under a ``replica`` label.
         """
-
-        async def one(replica: ReplicaEndpoint) -> Tuple[str, Optional[str]]:
-            try:
-                status, raw, _ = await self._forward(
-                    replica, "GET", "/metricsz", b"", parent
-                )
-            except (ReplicaDown, asyncio.TimeoutError):
-                return replica.replica_id, None
-            if status != 200:
-                return replica.replica_id, None
-            return replica.replica_id, raw.decode("utf-8", "replace")
-
-        pairs = await asyncio.gather(
-            *(one(replica) for _, replica in sorted(self.replicas.items()))
-        )
-        scrapes: "OrderedDict[str, str]" = OrderedDict(
-            (replica_id, text) for replica_id, text in pairs if text is not None
-        )
+        scrapes = {
+            replica_id: answer
+            for replica_id, answer in (await self.fan_out("/metricsz", parent)).items()
+            if isinstance(answer, str)
+        }
         scrapes["router"] = obs_metrics.get_registry().render_prometheus()
         return obs_agg.merge_exposition(scrapes)
-
-    async def cluster_flight(
-        self, query: Dict[str, str], parent: Optional[Dict[str, str]]
-    ) -> Dict[str, Any]:
-        """``GET /debugz/flight``: router snapshots + every replica's."""
-        trace_id = query.get("trace_id")
-        suffix = f"?trace_id={trace_id}" if trace_id else ""
-
-        async def one(replica: ReplicaEndpoint) -> Tuple[str, Any]:
-            try:
-                status, raw, content_type = await self._forward(
-                    replica, "GET", "/debugz/flight" + suffix, b"", parent
-                )
-            except (ReplicaDown, asyncio.TimeoutError) as exc:
-                return replica.replica_id, {"error": str(exc)}
-            payload = _decode_payload(raw, content_type)
-            return (
-                replica.replica_id,
-                payload if status == 200 else {"error": payload},
-            )
-
-        pairs = await asyncio.gather(
-            *(one(replica) for _, replica in sorted(self.replicas.items()))
-        )
-        return {
-            "role": "router",
-            "router": get_flight_recorder().payload(trace_id),
-            "replicas": dict(pairs),
-        }
-
-    async def _slo_loop(self) -> None:
-        """Evaluate cluster SLOs over the merged scrape, post alerts."""
-        assert self.slo is not None
-        interval = max(0.05, float(self.slo.config.interval_seconds))
-        while True:
-            await asyncio.sleep(interval)
-            try:
-                events = self.slo.sample_text(await self.cluster_metrics(None))
-            except Exception as exc:  # evaluation must never kill the router
-                _LOG.warning("router.slo_sample_failed", error=str(exc))
-                continue
-            for event in events:
-                await self._publish_slo_alert(event)
-
-    async def _publish_slo_alert(self, event: Dict[str, Any]) -> None:
-        """Post one burn alert as an incident on the incident home replica."""
-        self._slo_seq += 1
-        payload = alert_to_incident_payload(event, self._slo_seq)
-        recorder = get_flight_recorder()
-        if recorder.enabled:
-            recorder.trigger(
-                "slo_burn",
-                trace_id=event.get("exemplar_trace_id"),
-                detail={"slo": event.get("slo"), "severity": event.get("severity")},
-            )
-        _LOG.warning(
-            "router.slo_burn_alert",
-            slo=event.get("slo"),
-            severity=event.get("severity"),
-            windows=event.get("windows"),
-            budget_remaining=event.get("budget_remaining"),
-            exemplar_trace_id=event.get("exemplar_trace_id"),
-        )
-        body = json.dumps(payload).encode("utf-8")
-        try:
-            await self._route_incidents("POST", "/v1/incidents", body, {}, None)
-        except (RequestError, ReplicaDown, asyncio.TimeoutError) as exc:
-            _LOG.warning("router.slo_incident_post_failed", error=str(exc))
 
     # ------------------------------------------------------------------
     async def _route_submission(
@@ -688,52 +647,38 @@ class RouterApp:
             )
         finally:
             self.inflight -= 1
-        if isinstance(payload, dict):
-            payload.setdefault("replica", replica_id)
-            if status in (200, 202) and isinstance(payload.get("id"), str):
-                self._record_owner(payload["id"], replica_id)
+        if (
+            status in (200, 202)
+            and isinstance(payload, dict)
+            and isinstance(payload.get("id"), str)
+        ):
+            self._record_owner(payload["id"], replica_id)
         return status, payload
 
     async def _route_job_poll(
         self,
-        method: str,
         path: str,
         target: str,
         raw_body: bytes,
         query: Dict[str, str],
         parent: Optional[Dict[str, str]],
     ) -> Tuple[int, Any]:
-        if method != "GET":
-            raise RequestError("use GET", 405, "bad_request")
         job_id = path[len("/v1/jobs/") :]
         pinned = self._pinned(query)
-        owner = self._job_owner.get(job_id)
         if pinned is not None:
             candidates: List[ReplicaEndpoint] = [pinned]
-        elif owner is not None and owner in self.replicas:
+        else:
             # owner first; the rest as broadcast fallback (the owner may
             # have restarted and lost the job from memory)
-            rest = [rid for rid in sorted(self.replicas) if rid != owner]
-            candidates = self._candidates([owner] + rest)
-        else:
-            candidates = self._candidates(sorted(self.replicas))
-        last: Optional[Tuple[int, Any, str]] = None
-        for replica in candidates:
-            try:
-                status, raw, content_type = await self._forward(
-                    replica, method, target, raw_body, parent
-                )
-            except ReplicaDown:
-                continue
-            payload = _decode_payload(raw, content_type)
-            last = (status, payload, replica.replica_id)
-            if status != 404:
-                break
-        if last is None:
-            raise RequestError("no live replicas", 503, "no_replicas")
-        status, payload, replica_id = last
-        if isinstance(payload, dict):
-            payload.setdefault("replica", replica_id)
+            order = sorted(self.replicas)
+            owner = self._job_owner.get(job_id)
+            if owner in self.replicas:
+                order.remove(owner)
+                order.insert(0, owner)
+            candidates = self._candidates(order)
+        status, payload, replica_id = await self._try_each(
+            candidates, "GET", target, raw_body, parent, past_404=True
+        )
         if status != 404:
             self._record_owner(job_id, replica_id)
         return status, payload
@@ -746,8 +691,6 @@ class RouterApp:
         query: Dict[str, str],
         parent: Optional[Dict[str, str]],
     ) -> Tuple[int, Any]:
-        if method not in ("GET", "POST"):
-            raise RequestError("use GET or POST", 405, "bad_request")
         if method == "POST" and self.draining:
             raise RequestError(
                 "router is draining; not accepting incidents", 503, "draining"
@@ -759,29 +702,10 @@ class RouterApp:
             # incidents live on one stable home (first id in ring order)
             # so GET sees every POST; failover order is deterministic
             candidates = self._candidates(sorted(self.replicas))
-        status, payload, replica_id = await self._try_each(
+        status, payload, _ = await self._try_each(
             candidates, method, target, raw_body, parent
         )
-        if isinstance(payload, dict):
-            payload.setdefault("replica", replica_id)
         return status, payload
-
-
-def _parse_http_response(raw: bytes) -> Tuple[Optional[int], bytes, str]:
-    """(status, body, content-type) from a full Connection-close response."""
-    head, sep, body = raw.partition(b"\r\n\r\n")
-    if not sep:
-        return None, b"", ""
-    lines = head.decode("latin-1").split("\r\n")
-    parts = lines[0].split()
-    if len(parts) < 2 or not parts[1].isdigit():
-        return None, b"", ""
-    content_type = ""
-    for line in lines[1:]:
-        name, _, value = line.partition(":")
-        if name.strip().lower() == "content-type":
-            content_type = value.strip()
-    return int(parts[1]), body, content_type
 
 
 def _decode_payload(raw: bytes, content_type: str) -> Any:
@@ -818,7 +742,6 @@ class ClusterSupervisor:
         count: int,
         host: str = "127.0.0.1",
         base_args: Optional[Sequence[str]] = None,
-        poll_interval: float = 0.5,
         log: Callable[[str], None] = lambda message: None,
     ) -> None:
         if count < 1:
@@ -826,7 +749,6 @@ class ClusterSupervisor:
         self.count = count
         self.host = host
         self.base_args = list(base_args or [])
-        self.poll_interval = poll_interval
         self.log = log
         self.endpoints: List[ReplicaEndpoint] = []
         self.restarts = 0
@@ -895,7 +817,7 @@ class ClusterSupervisor:
     def _watch(self) -> None:
         """Restart dead replicas on their original port/replica id."""
         while not self._stopping:
-            time.sleep(self.poll_interval)
+            time.sleep(_POLL_INTERVAL)
             for endpoint in self.endpoints:
                 proc = self._procs.get(endpoint.replica_id)
                 if proc is None or proc.poll() is None or self._stopping:
@@ -914,7 +836,7 @@ class ClusterSupervisor:
         """SIGTERM every replica (they drain), then SIGKILL stragglers."""
         self._stopping = True
         if self._thread is not None:
-            self._thread.join(self.poll_interval * 4)
+            self._thread.join(_POLL_INTERVAL * 4)
         for proc in self._procs.values():
             if proc.poll() is None:
                 try:
@@ -934,138 +856,28 @@ class ClusterSupervisor:
 # ----------------------------------------------------------------------
 # router server lifecycle
 # ----------------------------------------------------------------------
-@dataclass
-class RouterHandle:
-    """Cross-thread control surface returned by :func:`start_router_in_thread`."""
-
-    loop: asyncio.AbstractEventLoop
-    app: RouterApp
-    host: str
-    port: int
-    thread: Optional[threading.Thread] = None
-    _stop: Optional[asyncio.Event] = None
-
-    def request_shutdown(self) -> None:
-        if self._stop is None:
-            return
-        try:
-            self.loop.call_soon_threadsafe(self._stop.set)
-        except RuntimeError:
-            pass
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        if self.thread is not None:
-            self.thread.join(timeout)
-
-
-async def _handle_router_connection(
-    app: RouterApp, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-) -> None:
-    try:
-        try:
-            request = await asyncio.wait_for(_read_request(reader), timeout=30.0)
-        except (asyncio.TimeoutError, asyncio.IncompleteReadError, ValueError):
-            request = None
-        if request is None:
-            return
-        method, target, headers, raw_body = request
-        try:
-            status, payload = await app.handle(
-                method, target, raw_body, parent=_parse_trace_header(headers)
-            )
-        except Exception as exc:  # never leak a traceback as a hung socket
-            status, payload = 500, {
-                "error": f"{type(exc).__name__}: {exc}",
-                "code": "internal",
-            }
-        writer.write(_encode_response(status, payload))
-        await writer.drain()
-    except (ConnectionResetError, BrokenPipeError):
-        pass
-    finally:
-        try:
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
-
-
 async def serve_router_async(
     replicas: Sequence[ReplicaEndpoint],
     host: str = "127.0.0.1",
     port: int = 8320,
-    vnodes: int = 64,
-    max_inflight: int = 256,
-    supervisor: Optional[ClusterSupervisor] = None,
-    ready: Optional[Callable[[RouterHandle], None]] = None,
-    install_signal_handlers: bool = True,
-    log: Callable[[str], None] = print,
     trace_file: Optional[str] = None,
     slo: Any = None,
     flight: Any = None,
+    **serve_kwargs: Any,
 ) -> None:
     """Run the router over ``replicas`` until SIGTERM/SIGINT.
 
     ``slo`` (True or a JSON config path) turns on cluster-level SLO
     burn-rate evaluation over the merged scrape; ``flight`` (True or a
     JSONL sink path) arms the router's flight recorder.  On shutdown
-    the router drains (new submissions 503 ``code="draining"``), then
-    stops the supervisor's replicas (each of which drains its own
-    queue before exiting).
+    the router drains (new submissions 503 ``code="draining"``).
+    ``serve_kwargs`` (``ready``, ``install_signal_handlers``, ``log``)
+    go to :func:`repro.service.http.serve_app`.
     """
-    if trace_file is not None:
-        configure_tracing(enabled=True, jsonl_path=trace_file)
-    if flight:
-        configure_flight(
-            enabled=True, sink_path=flight if isinstance(flight, str) else None
-        )
-    slo_config: Optional[SloConfig] = None
-    if slo:
-        slo_config = load_slo_config(slo if isinstance(slo, str) else None)
-    obs_metrics.record_build_info()
     app = RouterApp(
-        replicas, vnodes=vnodes, max_inflight=max_inflight, slo_config=slo_config
+        replicas, slo_config=configure_observability(trace_file, slo, flight)
     )
-    await app.start()
-    server = await asyncio.start_server(
-        lambda r, w: _handle_router_connection(app, r, w), host, port
-    )
-    bound_port = server.sockets[0].getsockname()[1]
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    if install_signal_handlers:
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):
-                pass
-    handle = RouterHandle(loop=loop, app=app, host=host, port=bound_port, _stop=stop)
-    if ready is not None:
-        ready(handle)
-    _LOG.info(
-        "router.listening",
-        host=host,
-        port=bound_port,
-        replicas=sorted(app.replicas),
-        vnodes=vnodes,
-    )
-    log(
-        f"repro router listening on http://{host}:{bound_port} "
-        f"({len(app.replicas)} replicas: {', '.join(sorted(app.replicas))})"
-    )
-    try:
-        await stop.wait()
-    finally:
-        app.draining = True
-        _LOG.info("router.draining", counters=dict(app.counters))
-        log("repro router draining ...")
-        await app.stop()
-        server.close()
-        await server.wait_closed()
-        if supervisor is not None:
-            supervisor.stop()
-        _LOG.info("router.stopped", counters=dict(app.counters))
-        log("repro router stopped")
+    await serve_app(app, host, port, **serve_kwargs)
 
 
 async def serve_cluster_async(
@@ -1074,14 +886,11 @@ async def serve_cluster_async(
     replicas: int = 3,
     replica_args: Optional[Sequence[str]] = None,
     cache_dir: Optional[str] = None,
-    vnodes: int = 64,
-    max_inflight: int = 256,
-    ready: Optional[Callable[[RouterHandle], None]] = None,
-    install_signal_handlers: bool = True,
     log: Callable[[str], None] = print,
     trace_file: Optional[str] = None,
     slo: Any = None,
     flight: Any = None,
+    **serve_kwargs: Any,
 ) -> None:
     """Boot supervisor + N replicas + router: ``repro serve --replicas N``.
 
@@ -1090,7 +899,8 @@ async def serve_cluster_async(
     persistent across cluster restarts).  ``--slo`` stays on the router
     only (so each cluster burn alert fires exactly once); ``--flight``
     is forwarded to the replicas as well, because the span evidence for
-    a failing job lives in the replica that ran it.
+    a failing job lives in the replica that ran it.  Once the router
+    has drained, the replicas are stopped (each drains its own queue).
     """
     scratch: Optional[tempfile.TemporaryDirectory] = None
     if cache_dir is None:
@@ -1105,20 +915,15 @@ async def serve_cluster_async(
         args += ["--flight"]
     supervisor = ClusterSupervisor(replicas, host=host, base_args=args, log=log)
     try:
-        endpoints = supervisor.start()
         await serve_router_async(
-            endpoints,
+            supervisor.start(),
             host=host,
             port=port,
-            vnodes=vnodes,
-            max_inflight=max_inflight,
-            supervisor=supervisor,
-            ready=ready,
-            install_signal_handlers=install_signal_handlers,
             log=log,
             trace_file=trace_file,
             slo=slo,
             flight=flight,
+            **serve_kwargs,
         )
     finally:
         supervisor.stop()
@@ -1126,56 +931,9 @@ async def serve_cluster_async(
             scratch.cleanup()
 
 
-def run_cluster(**kwargs: Any) -> None:
-    """Blocking entry point used by ``repro serve --replicas N``."""
-    try:
-        asyncio.run(serve_cluster_async(**kwargs))
-    except KeyboardInterrupt:
-        pass
-
-
 def start_router_in_thread(
-    replicas: Sequence[ReplicaEndpoint],
-    host: str = "127.0.0.1",
-    port: int = 0,
-    log: Callable[[str], None] = lambda message: None,
-    **kwargs: Any,
-) -> RouterHandle:
-    """Run a router (over already-running replicas) on a daemon thread.
-
-    The test-facing mirror of :func:`repro.service.http.start_in_thread`:
-    no supervisor, no signal handlers, ``port=0`` picks a free port.
-    """
-    box: Dict[str, Any] = {}
-    started = threading.Event()
-
-    def _ready(handle: RouterHandle) -> None:
-        box["handle"] = handle
-        started.set()
-
-    def _run() -> None:
-        try:
-            asyncio.run(
-                serve_router_async(
-                    replicas,
-                    host=host,
-                    port=port,
-                    ready=_ready,
-                    install_signal_handlers=False,
-                    log=log,
-                    **kwargs,
-                )
-            )
-        except Exception as exc:
-            box["error"] = exc
-            started.set()
-
-    thread = threading.Thread(target=_run, name="repro-router", daemon=True)
-    thread.start()
-    if not started.wait(timeout=30.0):
-        raise RuntimeError("router failed to start within 30 s")
-    if "error" in box:
-        raise RuntimeError(f"router failed to start: {box['error']}")
-    handle: RouterHandle = box["handle"]
-    handle.thread = thread
-    return handle
+    replicas: Sequence[ReplicaEndpoint], **kwargs: Any
+) -> ServerHandle:
+    """Run a router (:func:`serve_router_async` arguments, over
+    already-running replicas) on a daemon thread."""
+    return start_thread("router", serve_router_async, replicas, **kwargs)

@@ -128,6 +128,7 @@ class TestValidation:
         with pytest.raises(ServiceError) as excinfo:
             client.job("no-such-job")
         assert excinfo.value.status == 404
+        assert excinfo.value.payload["code"] == "not_found"
 
     def test_unknown_path_is_404(self, server):
         _, client = server

@@ -7,16 +7,19 @@ ways: deterministically against the ring's preference order, and
 behaviorally via which replica's queue did the work.
 """
 
+import socket
 import threading
 
 import pytest
 
+import repro.service.router as router_module
 from repro.core.spec import AttackGoal, AttackSpec
 from repro.grid.cases import ieee14
+from repro.obs import agg
 from repro.runtime import ResultCache, RuntimeOptions
-from repro.runtime.serialize import family_fingerprint
+from repro.runtime.serialize import family_fingerprint, spec_to_payload
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.http import start_in_thread
+from repro.service.http import _METHODS, start_in_thread
 from repro.service.router import (
     HashRing,
     ReplicaEndpoint,
@@ -224,8 +227,6 @@ class TestAdmissionAndErrors:
     def test_pinned_replica_is_honored(self, cluster):
         _, _, client = cluster
         # pin a submission to an explicit replica, bypassing the ring
-        from repro.runtime.serialize import spec_to_payload
-
         job = client._request(
             "POST", "/v1/verify?replica=r1", {"spec": spec_to_payload(make_spec())}
         )
@@ -261,6 +262,89 @@ class TestAdmissionAndErrors:
             client._request("GET", "/v2/everything")
         assert excinfo.value.status == 404
         assert excinfo.value.payload["code"] == "not_found"
+
+    def test_wrong_method_is_structured_405_like_a_replica(self, cluster):
+        _, _, client = cluster
+        for method, path in (
+            ("POST", "/statsz"),
+            ("POST", "/healthz"),
+            ("POST", "/clusterz"),
+            ("GET", "/v1/verify"),
+        ):
+            with pytest.raises(ServiceError) as excinfo:
+                client._request(method, path, {} if method == "POST" else None)
+            assert excinfo.value.status == 405, (method, path)
+            assert excinfo.value.payload["code"] == "bad_request"
+            assert excinfo.value.payload["error"].startswith("use ")
+
+    def test_request_metric_labels_are_bounded(self, cluster):
+        _, _, client = cluster
+        for job_id in ("a1", "b2"):
+            with pytest.raises(ServiceError):
+                client.job(job_id)
+        with pytest.raises(ServiceError):
+            client._request("GET", "/no/such/path")
+        families = agg.parse_text(client.metrics_text())
+        paths = {
+            sample.label("path")
+            for sample in families["repro_router_requests_total"].samples
+        }
+        assert {"/v1/jobs/:id", "other"} <= paths
+        assert paths <= set(_METHODS) | {"other"}
+
+
+class SilentReplica:
+    """A listening socket nobody accepts on: connections complete in the
+    kernel backlog, and requests written to them are never answered."""
+
+    def __init__(self):
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.port = self.sock.getsockname()[1]
+
+    def connections(self):
+        """Drain the backlog; returns how many connections arrived."""
+        self.sock.setblocking(False)
+        count = 0
+        while True:
+            try:
+                connection, _ = self.sock.accept()
+            except BlockingIOError:
+                return count
+            connection.close()
+            count += 1
+
+
+class TestSlowReplica:
+    def test_timeout_is_502_without_marking_down_or_resending(self, monkeypatch):
+        monkeypatch.setattr(router_module, "_FORWARD_TIMEOUT", 0.3)
+        spec = make_spec()
+        owner, other = HashRing(["r0", "r1"]).preference(family_fingerprint(spec))
+        slow, spare = SilentReplica(), SilentReplica()
+        router = start_router_in_thread(
+            [
+                ReplicaEndpoint(replica_id=owner, host="127.0.0.1", port=slow.port),
+                ReplicaEndpoint(replica_id=other, host="127.0.0.1", port=spare.port),
+            ]
+        )
+        try:
+            client = ServiceClient(port=router.port)
+            for path in ("/v1/verify", f"/v1/verify?replica={owner}"):
+                with pytest.raises(ServiceError) as excinfo:
+                    client._request("POST", path, {"spec": spec_to_payload(spec)})
+                assert excinfo.value.status == 502, path
+                assert excinfo.value.payload["code"] == "replica_error"
+            topology = client._request("GET", "/clusterz")
+            alive = {r["replica_id"]: r["alive"] for r in topology["replicas"]}
+            assert alive == {owner: True, other: True}
+            assert topology["counters"]["failovers"] == 0
+            assert slow.connections() == 2
+            assert spare.connections() == 0
+        finally:
+            router.request_shutdown()
+            router.join(timeout=10.0)
+            slow.sock.close()
+            spare.sock.close()
+        assert not router.thread.is_alive()
 
 
 class TestConcurrentSweep:
