@@ -10,8 +10,8 @@ statistics; this module is the quick, human-readable pass.
 
 Every figure driver batches its (independent) instances through the
 parallel runtime (:mod:`repro.runtime`): ``--jobs N`` fans them out
-over N worker processes, ``--portfolio`` races the SMT and MILP
-backends per instance, and ``--cache-dir`` memoizes results on disk so
+over N worker processes, ``--portfolio`` races four diversified SMT
+configurations per instance, and ``--cache-dir`` memoizes results on disk so
 repeated sweeps skip solver work entirely.  Per-instance times are
 measured inside the solving process, so the printed series are
 comparable across job counts.
@@ -278,7 +278,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--portfolio",
         action="store_true",
-        help="race SMT and MILP backends per instance",
+        help="race diversified SMT configurations per instance",
     )
     parser.add_argument(
         "--cache-dir",

@@ -12,7 +12,7 @@ Drives the full pipeline from spec files in the text format of
     $ python -m repro.cli mincost grid.spec --dimension measurements
     $ python -m repro.cli metrics grid.spec
     $ python -m repro.cli profile grid.spec --repeat 5 --out report.json
-    $ python -m repro.cli serve --port 8321 --jobs 4 --portfolio \
+    $ python -m repro.cli serve --port 8321 --jobs 4 --portfolio configs:2 \
           --trace-file spans.jsonl
     $ python -m repro.cli serve --port 8321 --replicas 3 --sessions \
           --cache-dir /var/cache/repro
@@ -48,6 +48,7 @@ from repro.core.synthesis import (
 )
 from repro.grid.cases import available_cases, load_case
 from repro.runtime import ResultCache, RuntimeOptions, verify_many
+from repro.runtime.portfolio import parse_portfolio_mode, race_configs
 
 INPUT_ERROR = 3
 
@@ -80,6 +81,26 @@ def _non_negative_int(text: str) -> int:
     return int(text)
 
 
+def _portfolio_mode(text: str) -> str:
+    try:
+        parse_portfolio_mode(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
+def _add_portfolio_flag(parser: argparse.ArgumentParser, text: str) -> None:
+    parser.add_argument(
+        "--portfolio",
+        nargs="?",
+        type=_portfolio_mode,
+        const="configs",
+        default=False,
+        metavar="MODE",
+        help=text,
+    )
+
+
 def _runtime_options(args: argparse.Namespace) -> RuntimeOptions:
     cache = None
     if getattr(args, "cache_dir", None):
@@ -100,16 +121,11 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
         default=1,
         help="worker processes for multi-instance runs (0 = all cores)",
     )
-    parser.add_argument(
-        "--portfolio",
-        nargs="?",
-        const=True,
-        default=False,
-        metavar="MODE",
-        help="race contenders per instance, first conclusive answer wins: "
-        "no value or 'backends' races SMT vs MILP; 'configs' or "
-        "'configs:N' races N diversified SMT configurations with "
-        "learned-clause exchange (default N=4)",
+    _add_portfolio_flag(
+        parser,
+        "race N diversified SMT configurations per instance with "
+        "learned-clause exchange, first conclusive answer wins "
+        "('configs' or 'configs:N', default N=4)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -317,16 +333,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     spec = _load_spec(args.specfile)
     portfolio_mode = getattr(args, "portfolio", False)
-    if portfolio_mode:
-        from repro.runtime.portfolio import parse_portfolio_mode, race_configs
-
-        mode, size = parse_portfolio_mode(portfolio_mode)
-        if mode != "configs":
-            print(
-                "profile --portfolio only supports 'configs' or 'configs:N'",
-                file=sys.stderr,
-            )
-            return 2
+    _, size = parse_portfolio_mode(portfolio_mode)
     previous = os.environ.get("REPRO_SMT_PROFILE")
     os.environ["REPRO_SMT_PROFILE"] = "1"
     try:
@@ -530,9 +537,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.max_queue_per_client is not None:
             replica_args += ["--max-queue-per-client", str(args.max_queue_per_client)]
         if args.portfolio:
-            replica_args.append("--portfolio")
-            if isinstance(args.portfolio, str):
-                replica_args.append(args.portfolio)
+            replica_args += ["--portfolio", args.portfolio]
         if args.sessions:
             replica_args.append("--sessions")
         main = serve_cluster_async(
@@ -710,13 +715,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--top", type=int, default=15, help="hot functions to report")
     p.add_argument("--out", metavar="FILE", help="write the JSON report to FILE")
-    p.add_argument(
-        "--portfolio",
-        nargs="?",
-        const="configs",
-        default=False,
-        metavar="MODE",
-        help="profile a cooperative configuration race instead of a solo "
+    _add_portfolio_flag(
+        p,
+        "profile a cooperative configuration race instead of a solo "
         "solve: per-config phase-time breakdown and exchanged-clause "
         "counts ('configs' or 'configs:N', default N=4)",
     )

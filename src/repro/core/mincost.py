@@ -20,11 +20,15 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.attacks.vector import AttackVector
 from repro.core.spec import AttackGoal, AttackSpec, ResourceLimits
-from repro.core.verification import VerificationSession, verify_attack
+from repro.core.verification import (
+    VerificationResult,
+    VerificationSession,
+    verify_attack,
+)
 
 if TYPE_CHECKING:
     from repro.runtime import RuntimeOptions
@@ -65,6 +69,54 @@ def _probe(
 
         return verify_one(probe_spec, dataclasses.replace(runtime, backend=backend))
     return verify_attack(probe_spec, backend=backend)
+
+
+def attack_cost(attack: AttackVector, dimension: str, spec: AttackSpec) -> int:
+    """A witness's cost: altered measurements, or compromised buses."""
+    if dimension == "measurements":
+        return len(attack.altered_measurements)
+    return len(attack.compromised_buses(spec.plan))
+
+
+def search_min_cost(
+    probe: Callable[[Optional[int]], VerificationResult],
+    cost_of: Callable[[AttackVector], int],
+    upper_bound: Optional[int] = None,
+) -> Tuple[Optional[int], Optional[AttackVector]]:
+    """The binary search behind :func:`minimum_attack_cost`.
+
+    ``probe(budget)`` answers feasibility at one budget (``None`` =
+    unlimited) and ``cost_of`` prices a witness.  Returns ``(cost,
+    cheapest witness)``, or ``(None, None)`` when no attack fits.  Any
+    probe source — a warm session, the runtime, a remote service —
+    runs the same probe sequence.
+    """
+    unconstrained = probe(None)
+    if not unconstrained.attack_exists:
+        return None, None
+    best_attack = unconstrained.attack
+    high = cost_of(best_attack)
+    if upper_bound is not None and upper_bound < high:
+        # The unconstrained witness overshoots the cap; feasibility at
+        # the cap is genuinely open and must be probed, not assumed.
+        capped = probe(upper_bound)
+        if not capped.attack_exists:
+            return None, None
+        best_attack = capped.attack
+        high = min(upper_bound, cost_of(best_attack))
+
+    low = 0
+    # invariant: a budget of `high` is feasible, a budget of `low` is not
+    # (budget 0 is infeasible unless the unconstrained attack is empty)
+    while low + 1 < high:
+        mid = (low + high) // 2
+        result = probe(mid)
+        if result.attack_exists:
+            high = mid
+            best_attack = result.attack
+        else:
+            low = mid
+    return high, best_attack
 
 
 def minimum_attack_cost(
@@ -124,43 +176,11 @@ def minimum_attack_cost(
             )
         return _probe(spec, budget, dimension, backend, runtime)
 
+    cost, attack = search_min_cost(
+        probe, lambda witness: attack_cost(witness, dimension, spec), upper_bound
+    )
     encodes = session.encodes if session is not None else None
-    unconstrained = probe(None)
-    if not unconstrained.attack_exists:
-        return MinCostResult(None, None, probes, encodes)
-    attack = unconstrained.attack
-    if dimension == "measurements":
-        high = len(attack.altered_measurements)
-    else:
-        high = len(attack.compromised_buses(spec.plan))
-    best_attack = attack
-    if upper_bound is not None and upper_bound < high:
-        # The unconstrained witness overshoots the cap; feasibility at
-        # the cap is genuinely open and must be probed, not assumed.
-        capped = probe(upper_bound)
-        if not capped.attack_exists:
-            return MinCostResult(None, None, probes, encodes)
-        best_attack = capped.attack
-        if dimension == "measurements":
-            witness = len(best_attack.altered_measurements)
-        else:
-            witness = len(best_attack.compromised_buses(spec.plan))
-        high = min(upper_bound, witness)
-
-    low = 0
-    # invariant: a budget of `high` is feasible, a budget of `low` is not
-    # (budget 0 is infeasible unless the unconstrained attack is empty)
-    if high == 0:
-        return MinCostResult(0, best_attack, probes, encodes)
-    while low + 1 < high:
-        mid = (low + high) // 2
-        result = probe(mid)
-        if result.attack_exists:
-            high = mid
-            best_attack = result.attack
-        else:
-            low = mid
-    return MinCostResult(high, best_attack, probes, encodes)
+    return MinCostResult(cost, attack, probes, encodes)
 
 
 def state_attack_costs(

@@ -53,7 +53,7 @@ import enum
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.attacks.vector import AttackVector
 from repro.core.spec import AttackGoal, AttackSpec
@@ -68,6 +68,7 @@ from repro.smt import (
     RealVar,
     Result,
     Solver,
+    SolverConfig,
     TRUE,
     eq,
     ge,
@@ -82,6 +83,18 @@ class VerificationOutcome(enum.Enum):
     ATTACK_EXISTS = "sat"
     SECURE = "unsat"
     UNKNOWN = "unknown"
+
+
+#: search counters every solve span carries
+_SPAN_COUNTERS = (
+    "conflicts",
+    "restarts",
+    "propagations",
+    "pivots",
+    "theory_checks",
+    "clauses_exported",
+    "clauses_imported",
+)
 
 
 @dataclass
@@ -133,6 +146,10 @@ class UfdiEncoder:
     out of the static encoding (pairwise-distinct requirements, Eq. 26,
     stay static) and applied per :meth:`check` call, so one encoding
     serves every target-state probe of the same grid/plan family.
+
+    ``sat_config`` is the solver's search configuration (default
+    :class:`~repro.smt.sat.SolverConfig`); the configuration race gives
+    each contender its own.
     """
 
     def __init__(
@@ -142,6 +159,7 @@ class UfdiEncoder:
         symbolic_security: bool = False,
         symbolic_budgets: bool = False,
         symbolic_goal: bool = False,
+        sat_config: Optional[SolverConfig] = None,
     ) -> None:
         self.spec = spec
         self.symbolic_security = symbolic_security
@@ -152,7 +170,7 @@ class UfdiEncoder:
         )
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        self.solver = Solver()
+        self.solver = Solver(sat_config=sat_config)
         self.dtheta: Dict[int, RealVar] = {}
         self.cx: Dict[int, BoolVar] = {}
         self.cz: Dict[int, BoolVar] = {}
@@ -431,6 +449,44 @@ class UfdiEncoder:
                         assumptions.append(Not(cx))
         return self.solver.check(assumptions, max_conflicts=max_conflicts)
 
+    def solve(
+        self,
+        span: str = "verify.solve",
+        span_attributes: Optional[Mapping[str, Any]] = None,
+        start: Optional[float] = None,
+        **check_args: Any,
+    ) -> VerificationResult:
+        """One :meth:`check` as a :class:`VerificationResult`.
+
+        The one exit of every SMT verdict: :func:`verify_attack`,
+        :meth:`VerificationSession.probe` and the configuration race
+        all answer through here.  The check runs under the tracing span
+        ``span``, which records ``span_attributes``, the outcome and the
+        search counters.  ``runtime_seconds`` runs from ``start``
+        (default: the check's start) to the end of the check; a SAT
+        model is read out as the attack vector after the span closes.
+        ``check_args`` go to :meth:`check`.
+        """
+        tracer = get_tracer()
+        if tracer.enabled:
+            # attach per-phase solver timings (time_bcp/theory/decide/
+            # analyze) to the span; the search path is unchanged
+            self.solver.set_profile(True)
+        if start is None:
+            start = time.perf_counter()
+        with tracer.span(span, **(span_attributes or {})) as trace_span:
+            result = self.check(**check_args)
+            runtime = time.perf_counter() - start
+            stats = self.statistics()
+            trace_span.set(
+                outcome=result.value,
+                **{key: stats.get(key) for key in _SPAN_COUNTERS},
+                **{k: v for k, v in stats.items() if k.startswith("time_")},
+            )
+        attack = self.extract_attack() if result is Result.SAT else None
+        outcome = VerificationOutcome(result.value)  # same sat/unsat/unknown
+        return VerificationResult(outcome, attack, "smt", runtime, stats)
+
     # ------------------------------------------------------------------
     # UNSAT-core introspection
     # ------------------------------------------------------------------
@@ -588,36 +644,21 @@ class VerificationSession:
     ) -> VerificationResult:
         """One incremental feasibility probe; semantics of
         :func:`verify_attack` on the matching concrete spec."""
-        tracer = get_tracer()
-        if tracer.enabled:
-            # safe mid-flight: profiling only brackets phases with
-            # perf_counter, the search path is unchanged
-            self.encoder.solver.set_profile(True)
-        start = time.perf_counter()
-        with tracer.span("session.probe", probes=self.probes + 1) as span:
-            result = self.encoder.check(
-                secured_buses=secured_buses,
-                secured_measurements=secured_measurements,
-                max_conflicts=max_conflicts,
-                max_measurements=max_measurements,
-                max_buses=max_buses,
-                goal=goal,
-            )
-            span.set(outcome=result.value)
-        runtime = time.perf_counter() - start
+        result = self.encoder.solve(
+            span="session.probe",
+            span_attributes={"probes": self.probes + 1},
+            secured_buses=secured_buses,
+            secured_measurements=secured_measurements,
+            max_conflicts=max_conflicts,
+            max_measurements=max_measurements,
+            max_buses=max_buses,
+            goal=goal,
+        )
         self.probes += 1
-        if result is Result.UNSAT:
+        if result.outcome is VerificationOutcome.SECURE:
             self.unsat_probes += 1
-        attack = self.encoder.extract_attack() if result is Result.SAT else None
-        if result is Result.SAT:
-            outcome = VerificationOutcome.ATTACK_EXISTS
-        elif result is Result.UNSAT:
-            outcome = VerificationOutcome.SECURE
-        else:
-            outcome = VerificationOutcome.UNKNOWN
-        stats = self.encoder.statistics()
-        stats["session_probes"] = self.probes
-        return VerificationResult(outcome, attack, "smt", runtime, stats)
+        result.statistics["session_probes"] = self.probes
+        return result
 
     def probe_spec(self, spec: AttackSpec, **kwargs) -> VerificationResult:
         """Probe a concrete same-family spec: its limits and goal become
@@ -657,8 +698,9 @@ def verify_attack(
     """Verify whether a UFDI attack satisfying ``spec`` exists.
 
     ``backend`` is ``"smt"`` (exact, bundled DPLL(T) engine) or
-    ``"milp"`` (big-M mirror on scipy/HiGHS; fast on large systems,
-    subject to big-M scale limits — see :mod:`repro.milp.backend`).
+    ``"milp"`` (big-M mirror on scipy/HiGHS, the cross-validation
+    oracle; subject to big-M scale limits — see
+    :mod:`repro.milp.backend`).
     """
     tracer = get_tracer()
     start = time.perf_counter()
@@ -670,37 +712,11 @@ def verify_attack(
     ):
         encoder = UfdiEncoder(spec, epsilon=epsilon)
     if backend == "smt":
-        if tracer.enabled:
-            # attach per-phase solver timings (time_bcp/theory/decide/
-            # analyze) to the solve span; search path is unchanged
-            encoder.solver.set_profile(True)
-        with tracer.span("verify.solve", backend="smt") as span:
-            result = encoder.check(max_conflicts=max_conflicts)
-            runtime = time.perf_counter() - start
-            stats = encoder.statistics()
-            span.set(
-                outcome=result.value,
-                conflicts=stats.get("conflicts"),
-                restarts=stats.get("restarts"),
-                propagations=stats.get("propagations"),
-                pivots=stats.get("pivots"),
-                theory_checks=stats.get("theory_checks"),
-                **{k: v for k, v in stats.items() if k.startswith("time_")},
-            )
-        if result is Result.SAT:
-            return VerificationResult(
-                VerificationOutcome.ATTACK_EXISTS,
-                encoder.extract_attack(),
-                "smt",
-                runtime,
-                stats,
-            )
-        outcome = (
-            VerificationOutcome.SECURE
-            if result is Result.UNSAT
-            else VerificationOutcome.UNKNOWN
+        return encoder.solve(
+            span_attributes={"backend": "smt"},
+            start=start,
+            max_conflicts=max_conflicts,
         )
-        return VerificationResult(outcome, None, "smt", runtime, stats)
     if backend == "milp":
         from repro.milp.backend import solve_encoder_milp
 

@@ -36,14 +36,18 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.core.mincost import minimum_attack_cost
+from repro.core.mincost import attack_cost, minimum_attack_cost, search_min_cost
 from repro.core.spec import AttackGoal, AttackSpec
 from repro.core.synthesis import SynthesisSettings, synthesize_architecture
-from repro.core.verification import verify_attack
+from repro.core.verification import (
+    VerificationOutcome,
+    VerificationResult,
+    verify_attack,
+)
 from repro.grid.model import Grid
 from repro.obs.trace import get_tracer
 from repro.runtime import RuntimeOptions
-from repro.runtime.serialize import attack_to_payload
+from repro.runtime.serialize import attack_to_payload, result_from_payload
 
 if TYPE_CHECKING:
     from repro.service.client import ServiceClient
@@ -165,17 +169,17 @@ class ReverificationBridge:
         return result.cost, result.probes
 
     def _min_cost_remote(self, spec: AttackSpec) -> Tuple[Optional[int], int]:
-        """Client-side binary search; every probe is a service job.
+        """:func:`search_min_cost` with every probe a service job.
 
-        Mirrors :func:`minimum_attack_cost`'s invariants — a budget of
-        ``high`` is feasible, ``low`` is not — but each probe travels
-        as a high-priority verify job, so the *service's* warm-session
-        registry (``sessions=True`` runtime) answers the whole family
-        on one encoding.
+        The probe sequence is the local one, so an incident's
+        ``probes`` does not depend on where the monitor runs; each
+        probe travels as a high-priority verify job, so the *service's*
+        warm-session registry (``sessions=True`` runtime) answers the
+        whole family on one encoding.
         """
         probes = 0
 
-        def probe(budget: Optional[int]) -> Dict[str, Any]:
+        def probe(budget: Optional[int]) -> VerificationResult:
             nonlocal probes
             probes += 1
             self.counters["mincost_probes"] += 1
@@ -188,33 +192,17 @@ class ReverificationBridge:
                 priority=self.config.job_priority,
                 timeout=self.config.job_timeout,
             )
-            return job.get("result") or {}
+            payload = job.get("result")
+            if not payload:  # failed or expired job: no verdict
+                return VerificationResult(
+                    VerificationOutcome.UNKNOWN, None, self.config.backend, 0.0
+                )
+            return result_from_payload(payload)
 
-        def witness_size(result: Dict[str, Any]) -> int:
-            attack = result.get("attack") or {}
-            if self.config.dimension == "measurements":
-                deltas = attack.get("measurement_deltas") or {}
-                return sum(1 for v in deltas.values() if v != 0)
-            from repro.runtime.serialize import attack_from_payload
-
-            vector = attack_from_payload(attack)
-            return len(vector.compromised_buses(spec.plan)) if vector else 0
-
-        unconstrained = probe(None)
-        if unconstrained.get("outcome") != "sat":
-            return None, probes
-        high = witness_size(unconstrained)
-        if high == 0:
-            return 0, probes
-        low = 0
-        while low + 1 < high:
-            mid = (low + high) // 2
-            result = probe(mid)
-            if result.get("outcome") == "sat":
-                high = min(mid, witness_size(result) or mid)
-            else:
-                low = mid
-        return high, probes
+        cost, _ = search_min_cost(
+            probe, lambda attack: attack_cost(attack, self.config.dimension, spec)
+        )
+        return cost, probes
 
     def _synthesize(self, spec: AttackSpec) -> Dict[str, Any]:
         """The countermeasure: secured buses defeating the spec's goal."""

@@ -473,12 +473,13 @@ def record_build_info(registry: Optional[MetricsRegistry] = None) -> Gauge:
 
     One series with value 1 whose labels identify everything a fleet
     audit needs to spot skew between replicas: the full engine
-    signature, the package version, and the resolved theory-kernel and
-    SAT search-configuration switches.  Imported lazily so the metrics
-    module stays dependency-free for pool workers.
+    signature, the package version, the resolved theory-kernel switch
+    and the default SAT search configuration.  Imported lazily so the
+    metrics module stays dependency-free for pool workers.
     """
     from repro import __version__
     from repro.smt import solver as _solver
+    from repro.smt.sat import SolverConfig
 
     reg = registry if registry is not None else _registry
     build_info = reg.gauge(
@@ -491,6 +492,6 @@ def record_build_info(registry: Optional[MetricsRegistry] = None) -> Gauge:
         engine_signature=_solver.engine_signature(),
         version=__version__,
         kernel=_solver._resolve_kernel(None),
-        sat_config=_solver._resolve_sat_config(None).token(),
+        sat_config=SolverConfig().token(),
     )
     return build_info

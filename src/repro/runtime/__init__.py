@@ -7,9 +7,9 @@ memoized:
   independent verification/synthesis instances, with per-task timeouts
   and an in-process fallback at ``jobs=1``;
 * :mod:`repro.runtime.portfolio` — portfolio racing on a single
-  instance: SMT vs MILP backends, or N diversified SMT configurations
-  cooperating through learned-clause exchange (first conclusive answer
-  wins, losers are cancelled);
+  instance: N diversified SMT configurations cooperating through
+  learned-clause exchange (first conclusive answer wins, losers are
+  cancelled);
 * :mod:`repro.runtime.cache` — a memoizing result cache (in-memory LRU
   plus optional on-disk JSON store) keyed by canonical spec
   fingerprints;
@@ -30,7 +30,6 @@ from repro.runtime.executor import (
 )
 from repro.runtime.portfolio import (
     parse_portfolio_mode,
-    race_backends,
     race_configs,
     replay_config_solo,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "family_spec",
     "parse_portfolio_mode",
     "payload_to_spec",
-    "race_backends",
     "race_configs",
     "replay_config_solo",
     "result_from_payload",

@@ -6,8 +6,8 @@ parallel: every instance is an independent exact-rational constraint
 problem.  This module fans those instances out:
 
 * :func:`verify_many` / :func:`verify_one` — batch UFDI verification
-  with optional per-task wall-clock timeouts, SMT/MILP portfolio racing
-  (:mod:`repro.runtime.portfolio`) and result memoization
+  with optional per-task wall-clock timeouts, configuration-race
+  portfolios (:mod:`repro.runtime.portfolio`) and result memoization
   (:mod:`repro.runtime.cache`).  Identical specs inside one batch are
   solved once.
 * :func:`synthesize_many` — batch independent synthesis problems.
@@ -50,11 +50,7 @@ from repro.obs.trace import (
     set_tracer,
 )
 from repro.runtime.cache import ResultCache
-from repro.runtime.portfolio import (
-    parse_portfolio_mode,
-    race_backends,
-    race_configs,
-)
+from repro.runtime.portfolio import parse_portfolio_mode, race_configs
 from repro.runtime.serialize import (
     attack_to_payload,
     canonical_json,
@@ -84,12 +80,7 @@ _M_SOLVE_SECONDS = obs_metrics.histogram(
     "repro_solve_seconds", "Solver wall time per task", labels=("backend",)
 )
 _M_PORTFOLIO_RACES = obs_metrics.counter(
-    "repro_portfolio_races_total", "SMT/MILP portfolio races run"
-)
-_M_PORTFOLIO_WINS = obs_metrics.counter(
-    "repro_portfolio_wins_total",
-    "Races won, by the backend that answered first",
-    labels=("backend",),
+    "repro_portfolio_races_total", "Cooperative configuration races run"
 )
 _M_PORTFOLIO_CLAUSES = obs_metrics.counter(
     "repro_portfolio_clauses_exchanged_total",
@@ -161,9 +152,6 @@ def _record_result_metrics(
         _M_TASK_TIMEOUTS.inc()
     if stats.get("portfolio"):
         _M_PORTFOLIO_RACES.inc()
-        winner = stats.get("portfolio_winner")
-        if winner:
-            _M_PORTFOLIO_WINS.inc(backend=winner)
         exchanged = stats.get("portfolio_clauses_exchanged")
         if exchanged:
             _M_PORTFOLIO_CLAUSES.inc(exchanged)
@@ -186,11 +174,10 @@ class RuntimeOptions:
 
     ``jobs``          — worker processes; 1 = in-process, 0/None = all cores
     ``backend``       — ``"smt"`` or ``"milp"`` (ignored under portfolio)
-    ``portfolio``     — ``True``/``"backends"`` races SMT vs MILP per
-                        instance; ``"configs"`` / ``"configs:N"`` races N
-                        diversified SMT configurations with learned-clause
-                        exchange (cooperative portfolio); first
-                        definitive answer wins either way
+    ``portfolio``     — ``True``/``"configs"``/``"configs:N"`` races N
+                        (default 4) diversified SMT configurations per
+                        instance with learned-clause exchange; the first
+                        definitive answer wins
     ``cache``         — optional :class:`ResultCache` for memoization
     ``task_timeout``  — per-instance wall-clock budget in seconds
     ``epsilon``       — forwarded to :func:`verify_attack`
@@ -221,7 +208,7 @@ class RuntimeOptions:
         return max(1, min(jobs, num_tasks))
 
     def portfolio_mode(self) -> Optional[str]:
-        """``None``, ``"backends"`` or ``"configs"``."""
+        """``None`` or ``"configs"``."""
         return parse_portfolio_mode(self.portfolio)[0]
 
     def portfolio_size(self) -> int:
@@ -230,14 +217,12 @@ class RuntimeOptions:
 
     def backend_label(self) -> str:
         mode, size = parse_portfolio_mode(self.portfolio)
-        if mode == "configs":
+        if mode:
             # the label participates in cache fingerprints; a config
             # race of different width explores a different portfolio,
             # but the determinism contract keeps results equivalent —
             # the size is still baked in so cached entries self-describe
             return f"portfolio-configs{size}"
-        if mode == "backends":
-            return "portfolio"
         return self.backend
 
     def describe(self) -> Dict[str, Any]:
@@ -397,12 +382,10 @@ def _solve_spec(
     mode, size = parse_portfolio_mode(portfolio)
     try:
         with _alarm(task_timeout):
-            if mode == "configs":
+            if mode:
                 return race_configs(
                     spec, n=size, epsilon=epsilon, timeout=task_timeout
                 )
-            if mode == "backends":
-                return race_backends(spec, epsilon=epsilon, timeout=task_timeout)
             if sessions and backend == "smt":
                 return _solve_on_session(spec, epsilon, max_conflicts)
             return verify_attack(

@@ -465,8 +465,8 @@ class ServiceApp:
                 raise RequestError(f"invalid 'epsilon': {exc}") from exc
         portfolio = body.get("portfolio", False)
         if isinstance(portfolio, str):
-            # "backends" / "configs" / "configs:N"; validated here so a
-            # typo is a 400, not a failed job inside the pool
+            # "configs" / "configs:N"; validated here so a typo (or the
+            # retired "backends") is a 400, not a failed job in the pool
             try:
                 parse_portfolio_mode(portfolio)
             except ValueError as exc:

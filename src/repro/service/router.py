@@ -629,7 +629,7 @@ class RouterApp:
                 "router is draining; not accepting jobs", 503, "draining"
             )
         if self.inflight >= self.max_inflight:
-            self.counters["rejected"] += 1
+            # counted once, where handle() answers the RequestError
             raise RequestError(
                 f"router at max_inflight={self.max_inflight}", 429, "queue_full"
             )

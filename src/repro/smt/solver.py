@@ -78,29 +78,20 @@ def _resolve_profile(flag: Optional[bool]) -> bool:
     return bool(flag)
 
 
-def _resolve_sat_config(config: Optional[SolverConfig]) -> SolverConfig:
-    if config is not None:
-        return config
-    token = os.environ.get("REPRO_SAT_CONFIG") or ""
-    try:
-        return SolverConfig.from_token(token)
-    except ValueError as exc:
-        raise ValueError(f"REPRO_SAT_CONFIG: {exc}") from exc
-
-
 def engine_signature() -> str:
     """Identity of the solver configuration results depend on.
 
     Combines :data:`ENGINE_VERSION` with the environment-resolved
-    kernel, propagation and search-configuration switches — everything
-    that can change a model or a core for the same input.
-    Included in cache fingerprints
-    (:func:`repro.runtime.serialize.spec_fingerprint`).
+    kernel and propagation switches and the default search
+    configuration — everything that can change a model or a core for
+    the same input.  Included in cache fingerprints
+    (:func:`repro.runtime.serialize.spec_fingerprint`); a solve under
+    another :class:`SolverConfig` is keyed by its caller (the
+    configuration race's backend label).
     """
     kernel = _resolve_kernel(None)
     prop = "1" if _resolve_propagation(None) else "0"
-    config = _resolve_sat_config(None)
-    return f"v{ENGINE_VERSION}/kernel={kernel}/prop={prop}/cfg={config.token()}"
+    return f"v{ENGINE_VERSION}/kernel={kernel}/prop={prop}/cfg={SolverConfig().token()}"
 
 
 class Model:
@@ -141,6 +132,8 @@ class Solver:
     ``REPRO_THEORY_KERNEL`` / ``REPRO_THEORY_PROPAGATION`` /
     ``REPRO_SMT_PROFILE`` environment variable so existing ``Solver()``
     call sites pick up a configuration without plumbing.
+    ``sat_config`` is the SAT core's search configuration (default
+    :class:`SolverConfig`), as the configuration race diversifies it.
     """
 
     def __init__(
@@ -150,7 +143,7 @@ class Solver:
         profile: Optional[bool] = None,
         sat_config: Optional[SolverConfig] = None,
     ) -> None:
-        self._sat = SatSolver(config=_resolve_sat_config(sat_config))
+        self._sat = SatSolver(config=sat_config)
         self._sat.profile = _resolve_profile(profile)
         self._theory = LraTheory(
             kernel=_resolve_kernel(kernel),

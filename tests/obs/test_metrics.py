@@ -167,7 +167,7 @@ class TestGlobalRegistry:
             "repro_queue_wait_seconds",
             "repro_batch_size",
             "repro_cache_lookups_total",
-            "repro_portfolio_wins_total",
+            "repro_portfolio_config_wins_total",
             "repro_session_events_total",
             "repro_solver_conflicts_total",
             "repro_solver_fill_ratio",

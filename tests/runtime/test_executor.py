@@ -51,7 +51,7 @@ class TestOptions:
 
     def test_backend_label(self):
         assert RuntimeOptions(backend="milp").backend_label() == "milp"
-        assert RuntimeOptions(portfolio=True).backend_label() == "portfolio"
+        assert RuntimeOptions(portfolio=True).backend_label() == "portfolio-configs4"
 
 
 class TestVerifyMany:

@@ -2,11 +2,13 @@
 
 import pytest
 
+import repro.runtime.portfolio as portfolio_module
 from repro.core.spec import AttackGoal, AttackSpec
-from repro.core.verification import VerificationOutcome, verify_attack
+from repro.core.verification import VerificationOutcome, VerificationResult
 from repro.grid.cases import ieee14
-from repro.runtime import race_backends
-from repro.runtime.portfolio import _sequential_race
+from repro.runtime import race_configs
+from repro.runtime.portfolio import _sequential_config_race
+from repro.smt.sat import diversified_configs
 
 
 def sat_spec():
@@ -14,63 +16,49 @@ def sat_spec():
 
 
 class TestRace:
-    def test_winner_is_conclusive_and_marked(self):
-        result = race_backends(sat_spec())
-        assert result.outcome is VerificationOutcome.ATTACK_EXISTS
-        assert result.backend in ("smt", "milp")
-        assert result.statistics.get("portfolio") == 1
-        assert result.runtime_seconds >= 0
-
-    def test_winner_agrees_with_direct_verification(self):
-        spec = sat_spec()
-        raced = race_backends(spec)
-        direct = verify_attack(spec, backend=raced.backend)
-        assert raced.outcome == direct.outcome
-
-    def test_single_backend_degenerates_to_direct_call(self):
-        spec = sat_spec()
-        result = race_backends(spec, backends=("smt",))
-        direct = verify_attack(spec, backend="smt")
-        assert result.outcome == direct.outcome
-        assert result.attack == direct.attack
-        assert result.statistics["portfolio"] == 1
-
-    def test_no_backends_rejected(self):
-        with pytest.raises(ValueError):
-            race_backends(sat_spec(), backends=())
+    def test_no_configs_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            race_configs(sat_spec(), configs=[])
 
     def test_timeout_returns_unknown(self):
-        result = race_backends(sat_spec(), timeout=1e-6)
-        assert result.outcome.value == "unknown"
+        result = race_configs(sat_spec(), n=2, timeout=1e-6)
+        assert result.outcome is VerificationOutcome.UNKNOWN
         assert result.backend == "portfolio"
         assert result.statistics.get("portfolio_inconclusive") == 1
+        assert result.attack is None
 
 
 class TestSequentialFallback:
-    def test_first_conclusive_answer_wins(self):
-        spec = sat_spec()
-        result = _sequential_race(spec, ("smt", "milp"), epsilon=None)
-        assert result.backend == "smt"
+    def test_skips_inconclusive_config(self, monkeypatch):
+        # the first contender gives up; the fallback must move on to
+        # the second and return its conclusive answer
+        configs = diversified_configs(2)
+        real = portfolio_module._solve_config
+
+        def first_gives_up(spec, config, epsilon, exchange=None):
+            if config == configs[0]:
+                return None, VerificationResult(
+                    VerificationOutcome.UNKNOWN, None, "smt", 0.0
+                )
+            return real(spec, config, epsilon, exchange)
+
+        monkeypatch.setattr(portfolio_module, "_solve_config", first_gives_up)
+        result = _sequential_config_race(sat_spec(), configs, None, None)
         assert result.outcome is VerificationOutcome.ATTACK_EXISTS
-        assert result.statistics["portfolio"] == 1
+        assert result.statistics["portfolio_winner_config"] == configs[1].token()
 
-    def test_skips_inconclusive_backend(self):
-        spec = sat_spec()
-        # a 1-conflict budget makes the SMT engine return UNKNOWN; the
-        # race must move on to MILP and return its conclusive answer
-        import repro.runtime.portfolio as portfolio_module
-
-        real = portfolio_module.verify_attack
-
-        def budgeted(spec, backend="smt", **kwargs):
-            if backend == "smt":
-                kwargs["max_conflicts"] = 1
-            return real(spec, backend=backend, **kwargs)
-
-        portfolio_module.verify_attack = budgeted
-        try:
-            result = _sequential_race(spec, ("smt", "milp"), epsilon=None)
-        finally:
-            portfolio_module.verify_attack = real
-        assert result.backend == "milp"
-        assert result.outcome is VerificationOutcome.ATTACK_EXISTS
+    def test_all_inconclusive_is_marked(self, monkeypatch):
+        monkeypatch.setattr(
+            portfolio_module,
+            "_solve_config",
+            lambda spec, config, epsilon, exchange=None: (
+                None,
+                VerificationResult(VerificationOutcome.UNKNOWN, None, "smt", 0.0),
+            ),
+        )
+        result = _sequential_config_race(
+            sat_spec(), diversified_configs(2), None, None
+        )
+        assert result.outcome is VerificationOutcome.UNKNOWN
+        assert result.statistics["portfolio_inconclusive"] == 1
+        assert "portfolio_winner_config" not in result.statistics

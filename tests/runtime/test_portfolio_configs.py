@@ -59,9 +59,8 @@ class TestParsePortfolioMode:
     def test_falsy_disables(self, value):
         assert parse_portfolio_mode(value) == (None, 0)
 
-    def test_backends_forms(self):
-        assert parse_portfolio_mode(True) == ("backends", 2)
-        assert parse_portfolio_mode("backends") == ("backends", 2)
+    def test_true_is_the_default_config_race(self):
+        assert parse_portfolio_mode(True) == ("configs", 4)
 
     def test_configs_forms(self):
         assert parse_portfolio_mode("configs") == ("configs", 4)
@@ -73,9 +72,10 @@ class TestParsePortfolioMode:
         with pytest.raises(ValueError, match="bad portfolio size"):
             parse_portfolio_mode(value)
 
-    def test_unknown_mode_rejected(self):
+    @pytest.mark.parametrize("value", ["turbo", "backends"])
+    def test_unknown_mode_rejected(self, value):
         with pytest.raises(ValueError, match="unknown portfolio mode"):
-            parse_portfolio_mode("turbo")
+            parse_portfolio_mode(value)
 
 
 class TestRaceConfigs:
@@ -110,6 +110,8 @@ class TestRaceConfigs:
         result = race_configs(spec, n=1)
         direct = verify_attack(spec, backend="smt")
         assert result.outcome == direct.outcome
+        assert result.attack == direct.attack
+        assert result.statistics["portfolio"] == 1
         assert result.statistics["portfolio_size"] == 1
         assert result.statistics["portfolio_winner_config"] == (
             SolverConfig().token()
@@ -129,10 +131,12 @@ class TestRaceConfigs:
             c.token() for c in configs
         }
 
-    def test_parent_environment_is_not_poisoned(self):
-        before = os.environ.get("REPRO_SAT_CONFIG")
+    def test_parent_environment_is_untouched(self):
+        # configurations travel as arguments, never through os.environ
+        before = dict(os.environ)
         race_configs(sat_spec(), n=2)
-        assert os.environ.get("REPRO_SAT_CONFIG") == before
+        race_configs(sat_spec(), n=1)
+        assert dict(os.environ) == before
 
     def test_collect_all_reports_every_contender(self):
         capture = {}
@@ -175,9 +179,10 @@ class TestSequentialFallback:
 
 
 class TestExecutorIntegration:
-    def test_runtime_options_validate_portfolio_eagerly(self):
+    @pytest.mark.parametrize("value", ["turbo", "backends"])
+    def test_runtime_options_validate_portfolio_eagerly(self, value):
         with pytest.raises(ValueError):
-            RuntimeOptions(portfolio="turbo")
+            RuntimeOptions(portfolio=value)
 
     def test_backend_label_and_describe(self):
         options = RuntimeOptions(portfolio="configs:3")
@@ -207,3 +212,13 @@ class TestExecutorIntegration:
             _M_PORTFOLIO_CLAUSES.value()
             == clauses_before + stats["portfolio_clauses_exchanged"]
         )
+
+    def test_config_race_inside_pool_workers(self):
+        # `--jobs N --portfolio` starts one race in each pool worker
+        specs = [sat_spec(), unsat_spec()]
+        serial = verify_many(specs, RuntimeOptions(jobs=1))
+        pooled = verify_many(specs, RuntimeOptions(jobs=2, portfolio="configs:2"))
+        assert [r.outcome for r in pooled] == [r.outcome for r in serial]
+        for result in pooled:
+            assert result.statistics["portfolio_mode"] == "configs"
+            assert "portfolio_errors" not in result.statistics

@@ -235,10 +235,13 @@ class TestAdmissionAndErrors:
     def test_router_inflight_cap_is_429_queue_full(self, cluster):
         router, _, client = cluster
         router.app.max_inflight = 0
+        rejected = router.app.counters["rejected"]
         with pytest.raises(ServiceError) as excinfo:
             client.submit_verify(make_spec())
         assert excinfo.value.status == 429
         assert excinfo.value.payload["code"] == "queue_full"
+        # one 429, counted once
+        assert router.app.counters["rejected"] == rejected + 1
 
     def test_draining_router_rejects_submissions(self, cluster):
         router, _, client = cluster

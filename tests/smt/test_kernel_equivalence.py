@@ -180,13 +180,15 @@ class TestSatConfigs:
             if verdict is Result.SAT:
                 assert_model_satisfies(solved)
 
-    def test_env_config_reaches_the_sat_engine(self, monkeypatch):
+    def test_config_from_its_token_reaches_the_sat_engine(self):
+        # a race winner is replayed from its token: the rebuilt config
+        # must reach the SAT core and repeat the search exactly
         config = diversified_configs(4)[2]
-        monkeypatch.setenv("REPRO_SAT_CONFIG", config.token())
-        from_env = solve_with("sparse", 3)
-        monkeypatch.delenv("REPRO_SAT_CONFIG")
-        assert from_env[0]._sat.config == SolverConfig.from_token(config.token())
-        assert_bit_identical(solve_with("sparse", 3, sat_config=config), from_env)
+        from_token = solve_with(
+            "sparse", 3, sat_config=SolverConfig.from_token(config.token())
+        )
+        assert from_token[0]._sat.config == config
+        assert_bit_identical(solve_with("sparse", 3, sat_config=config), from_token)
 
 
 class TestUnsatCores:

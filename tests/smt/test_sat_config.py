@@ -3,21 +3,24 @@
 Covers the search-configuration layer: token round-trips, the
 restart-base lift out of the hardcoded ``* 100`` (with a regression
 pinning the default schedule to the historical one), reproducible
-seeded tie-breaking, and how the facade resolves and reports the
-active configuration.
+seeded tie-breaking, and how the configuration reaches the solver (as
+an argument, never the environment) and is reported.
 """
 
 import random
 
 import pytest
 
+from repro.core.spec import AttackSpec
+from repro.core.verification import UfdiEncoder
+from repro.grid.cases import ieee14
 from repro.smt.sat import (
     SatSolver,
     SolverConfig,
     diversified_configs,
     luby,
 )
-from repro.smt.solver import Solver, engine_signature, _resolve_sat_config
+from repro.smt.solver import Solver, engine_signature
 
 from tests.smt.test_sat_internals import hard_random_instance
 from tests.smt.test_sat_watches import GOLDEN_SEARCH_STATS
@@ -185,22 +188,28 @@ class TestDiversifiedSearch:
 
 
 class TestFacadeResolution:
-    def test_env_config_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SAT_CONFIG", "luby@32/p1/d0.9/s5")
-        config = _resolve_sat_config(None)
-        assert config.restart_base == 32
-        assert config.seed == 5
+    def test_encoder_config_reaches_the_sat_engine(self):
+        config = SolverConfig.from_token("luby@32/p1/d0.9/s5")
+        encoder = UfdiEncoder(AttackSpec.default(ieee14()), sat_config=config)
+        assert encoder.solver._sat.config == config
+        assert encoder.statistics()["sat_config"] == "luby@32/p1/d0.9/s5"
 
-    def test_bad_env_config_names_the_variable(self, monkeypatch):
+    def test_encoder_defaults_to_the_default_config(self):
+        encoder = UfdiEncoder(AttackSpec.default(ieee14()))
+        assert encoder.solver._sat.config == SolverConfig()
+
+    def test_environment_does_not_configure_the_search(self, monkeypatch):
+        # the retired REPRO_SAT_CONFIG variable has no reader left, so
+        # even a malformed value neither fails nor changes the search
         monkeypatch.setenv("REPRO_SAT_CONFIG", "bogus@@")
-        with pytest.raises(ValueError, match="REPRO_SAT_CONFIG"):
-            _resolve_sat_config(None)
+        assert Solver().statistics()["sat_config"] == SolverConfig().token()
 
-    def test_engine_signature_carries_config(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SAT_CONFIG", raising=False)
-        assert engine_signature().endswith("/prop=0/cfg=luby@100/p0/d0.95")
+    def test_engine_signature_pins_the_default_config(self, monkeypatch):
+        # existing cache entries are keyed by this exact string
+        for name in ("REPRO_THEORY_KERNEL", "REPRO_THEORY_PROPAGATION"):
+            monkeypatch.delenv(name, raising=False)
         monkeypatch.setenv("REPRO_SAT_CONFIG", "geometric@64x1.5/p1/d0.92/s1")
-        assert engine_signature().endswith("cfg=geometric@64x1.5/p1/d0.92/s1")
+        assert engine_signature() == "v7/kernel=sparse/prop=0/cfg=luby@100/p0/d0.95"
 
     def test_solver_statistics_expose_config(self):
         solver = Solver(sat_config=SolverConfig(seed=3))

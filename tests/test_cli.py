@@ -215,10 +215,6 @@ class TestProfile:
                 phase.startswith("time_") for phase in meta["phase_times"]
             )
 
-    def test_portfolio_rejects_backend_race(self, spec_file, capsys):
-        assert main(["profile", spec_file, "--portfolio", "backends"]) == 2
-        assert "only supports" in capsys.readouterr().err
-
 
 class TestInputErrors:
     """Unusable input: one ``repro: error:`` line on stderr and exit 3."""
@@ -247,6 +243,25 @@ class TestInputErrors:
             "repro: error: argument --budget: "
             "expected a non-negative integer, got '-1'\n"
         )
+
+    @pytest.mark.parametrize("command", ["verify", "profile"])
+    @pytest.mark.parametrize(
+        "mode, reason",
+        [
+            ("turbo", "unknown portfolio mode 'turbo'"),
+            ("configs:0", "bad portfolio size '0' in 'configs:0'"),
+            ("backends", "unknown portfolio mode 'backends'"),
+        ],
+    )
+    def test_bad_portfolio_mode_rejected_by_parser(
+        self, command, mode, reason, spec_file, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command, spec_file, "--portfolio", mode])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: error: argument --portfolio: {reason} ")
+        assert err.count("\n") == 1
 
     def test_zero_budget_still_accepted(self, spec_file, capsys):
         # 0 is a real budget: with no secured bus the attack goes through
