@@ -70,7 +70,7 @@ def attack_impact(
     theta_shift[ref] = 0.0
     flow_shift: Dict[int, float] = {}
     for line in grid.lines:
-        flow_shift[line.index] = line.admittance * (
+        flow_shift[line.index] = float(line.admittance) * (
             theta_shift[line.from_bus] - theta_shift[line.to_bus]
         )
     load_shift: Dict[int, float] = {}

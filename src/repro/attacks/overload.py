@@ -66,9 +66,9 @@ def flow_shift_attack(
     # flow shift of the target line as a linear functional of c
     functional = np.zeros(len(columns))
     if line.from_bus != reference_bus:
-        functional[col_of[line.from_bus]] += line.admittance
+        functional[col_of[line.from_bus]] += float(line.admittance)
     if line.to_bus != reference_bus:
-        functional[col_of[line.to_bus]] -= line.admittance
+        functional[col_of[line.to_bus]] -= float(line.admittance)
     reduced = basis.T @ functional
     norm = float(reduced @ reduced)
     if norm < tol:

@@ -11,7 +11,7 @@ parser/writer pair so specs can be stored, diffed and shared:
     buses 14
     reference 1
     # line <idx> <from> <to> <admittance> <known> <in_topo> <fixed> <status_secured>
-    line 1 1 2 16.90 1 1 1 0
+    line 1 1 2 100000/5917 1 1 1 0
     ...
     # measurement <idx> <taken> <secured> <accessible>
     measurement 1 1 1 1
@@ -23,12 +23,16 @@ parser/writer pair so specs can be stored, diffed and shared:
     exclusive 0
     topology_attack 1
 
+The admittance column is an exact rational: a decimal (``16.90``) or
+a fraction ``p/q``.  :func:`write_spec` writes ``p/q``, so a written
+spec parses back to the very admittances the library solves with.
 Omitted measurements default to taken/unsecured/accessible; omitted
 limits to unlimited.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
 
@@ -51,7 +55,7 @@ def parse_spec(text: str) -> AttackSpec:
     """Parse the text format into an :class:`AttackSpec`."""
     num_buses: Optional[int] = None
     reference = 1
-    line_rows: List[Tuple[int, int, int, float]] = []
+    line_rows: List[Tuple[int, int, int, Fraction]] = []
     line_attrs: Dict[int, LineAttributes] = {}
     taken: Set[int] = set()
     secured: Set[int] = set()
@@ -79,7 +83,7 @@ def parse_spec(text: str) -> AttackSpec:
                 reference = int(tokens[1])
             elif keyword == "line":
                 idx, f, t = int(tokens[1]), int(tokens[2]), int(tokens[3])
-                admittance = float(tokens[4])
+                admittance = Fraction(tokens[4])
                 line_rows.append((idx, f, t, admittance))
                 line_attrs[idx] = LineAttributes(
                     knows_admittance=_flag(tokens[5], context),
@@ -116,7 +120,7 @@ def parse_spec(text: str) -> AttackSpec:
                 topology_attack = _flag(tokens[1], context)
             else:
                 raise SpecParseError(f"{context}: unknown keyword {keyword!r}")
-        except (IndexError, ValueError) as exc:
+        except (IndexError, ValueError, ZeroDivisionError) as exc:
             if isinstance(exc, SpecParseError):
                 raise
             raise SpecParseError(f"{context}: {raw!r}: {exc}") from exc
@@ -157,7 +161,7 @@ def write_spec(spec: AttackSpec) -> str:
     for line in spec.grid.lines:
         a = spec.attrs(line.index)
         out.append(
-            f"line {line.index} {line.from_bus} {line.to_bus} {line.admittance:.6g} "
+            f"line {line.index} {line.from_bus} {line.to_bus} {line.admittance} "
             f"{int(a.knows_admittance)} {int(a.in_true_topology)} "
             f"{int(a.fixed)} {int(a.status_secured)}"
         )

@@ -317,7 +317,7 @@ class UfdiEncoder:
         spec = self.spec
         s = self.solver
         attrs = spec.attrs(line.index)
-        admittance = to_fraction(line.admittance)
+        admittance = line.admittance
         flow_expr = (
             self._theta_delta(line.from_bus) - self._theta_delta(line.to_bus)
         ) * admittance

@@ -59,7 +59,7 @@ class AcSystem:
         n = grid.num_buses
         y = np.zeros((n, n), dtype=complex)
         for line in grid.lines:
-            x = line.reactance
+            x = float(line.reactance)
             r = r_over_x * x
             series = 1.0 / complex(r, x)
             f, t = line.from_bus - 1, line.to_bus - 1
@@ -86,7 +86,7 @@ class AcSystem:
         f, t = line.from_bus - 1, line.to_bus - 1
         if backward:
             f, t = t, f
-        x = line.reactance
+        x = float(line.reactance)
         series = 1.0 / complex(self.r_over_x * x, x)
         vf = v[f] * np.exp(1j * theta[f])
         vt = v[t] * np.exp(1j * theta[t])

@@ -175,21 +175,21 @@ def build_h(
         if meas <= l:  # forward flow of line `meas`
             line = grid.line(meas)
             if line.index in mapped:
-                add(row, line.from_bus, line.admittance)
-                add(row, line.to_bus, -line.admittance)
+                add(row, line.from_bus, float(line.admittance))
+                add(row, line.to_bus, -float(line.admittance))
         elif meas <= 2 * l:  # backward flow
             line = grid.line(meas - l)
             if line.index in mapped:
-                add(row, line.from_bus, -line.admittance)
-                add(row, line.to_bus, line.admittance)
+                add(row, line.from_bus, -float(line.admittance))
+                add(row, line.to_bus, float(line.admittance))
         else:  # bus consumption (Eq. 4: incoming minus outgoing)
             bus = meas - 2 * l
             for line in grid.lines_at(bus):
                 if line.index not in mapped:
                     continue
                 sign = 1.0 if line.to_bus == bus else -1.0
-                add(row, line.from_bus, sign * line.admittance)
-                add(row, line.to_bus, -sign * line.admittance)
+                add(row, line.from_bus, sign * float(line.admittance))
+                add(row, line.to_bus, -sign * float(line.admittance))
     return h
 
 

@@ -23,8 +23,8 @@ from repro.grid.model import Grid, Line
 from repro.grid.synthetic import generate_grid
 
 # (from_bus, to_bus, reactance) — MATPOWER case14 branch data; the
-# reciprocal reactances reproduce the admittance column of the paper's
-# Table II exactly (16.90, 4.48, 5.05, ...).
+# exact reciprocal reactances (100000/5917, ...) are the admittance
+# column of the paper's Table II (16.90, 4.48, 5.05, ...).
 _IEEE14_BRANCHES: List[Tuple[int, int, float]] = [
     (1, 2, 0.05917),
     (1, 5, 0.22304),

@@ -55,7 +55,7 @@ def susceptance_matrix(
     lines = grid.lines if line_indices is None else [grid.line(i) for i in line_indices]
     for line in lines:
         f, t = line.from_bus - 1, line.to_bus - 1
-        y = line.admittance
+        y = float(line.admittance)
         b[f, f] += y
         b[t, t] += y
         b[f, t] -= y
@@ -90,7 +90,7 @@ def solve_dc_flow(
     lines = grid.lines if line_indices is None else [grid.line(i) for i in line_indices]
     flows = np.zeros(grid.num_lines)
     for line in lines:
-        flows[line.index - 1] = line.admittance * (
+        flows[line.index - 1] = float(line.admittance) * (
             theta[line.from_bus - 1] - theta[line.to_bus - 1]
         )
     return DcFlowResult(grid, reference_bus, theta, flows, p)

@@ -91,9 +91,10 @@ def write_case_file(grid: Grid, path: Union[str, Path]) -> None:
     out.append("\t1\t0\t0\t10\t-10\t1\t100\t1\t10\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0;")
     out.append("];")
     out.append("mpc.branch = [")
+    # shortest repr: a decimal reactance reads back as the same decimal
     for line in grid.lines:
         out.append(
-            f"\t{line.from_bus}\t{line.to_bus}\t0\t{line.reactance:.6f}"
+            f"\t{line.from_bus}\t{line.to_bus}\t0\t{float(line.reactance)!r}"
             f"\t0\t0\t0\t0\t0\t0\t1\t-360\t360;"
         )
     out.append("];")

@@ -7,13 +7,16 @@ The conventions follow the paper's Section III-A:
   ``lf_i`` to its *to-bus* ``lt_i`` (the direction fixes the sign of the
   line's power flow, it does not restrict actual flow direction);
 * line admittance ``ld_i`` is the reciprocal of the line reactance
-  (pure-reactance DC model).
+  (pure-reactance DC model), held as an exact rational: the verification
+  model decides over exact arithmetic, and numeric code takes its float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from decimal import Decimal
+from fractions import Fraction
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -27,28 +30,54 @@ class Bus:
     name: str = ""
 
 
+Number = Union[int, float, str, Fraction]
+
+
+def _exact(value: Number) -> Fraction:
+    """The exact rational a grid number stands for.
+
+    ``int``, ``str`` (``"16.9005"``, ``"400/23"``) and ``Fraction`` are
+    exact already; a float stands for its shortest decimal, so ``0.0575``
+    is ``23/400`` rather than its binary neighbour.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise TypeError("bool is not a grid number")
+    try:
+        # Decimal parses a float's decimal ~2x faster than Fraction does
+        return Fraction(Decimal(str(value)) if isinstance(value, float) else value)
+    except (ZeroDivisionError, OverflowError) as exc:  # "1/0", inf
+        raise ValueError(f"{value!r} is not a finite rational") from exc
+
+
 @dataclass(frozen=True)
 class Line:
     """A transmission line (branch) in the DC model.
 
-    ``admittance`` is ``1/x`` for reactance ``x``; either may be supplied
-    to the constructor helpers in :func:`Line.from_reactance`.
+    ``admittance`` is the exact ``Fraction`` ``1/x`` for reactance ``x``;
+    the constructor normalizes any :data:`Number` through :func:`_exact`,
+    and :meth:`from_reactance` builds a line from its reactance.
     """
 
     index: int
     from_bus: int
     to_bus: int
-    admittance: float
+    admittance: Fraction
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "admittance", _exact(self.admittance))
 
     @staticmethod
-    def from_reactance(index: int, from_bus: int, to_bus: int, reactance: float) -> "Line":
-        if reactance <= 0:
+    def from_reactance(index: int, from_bus: int, to_bus: int, reactance: Number) -> "Line":
+        x = _exact(reactance)
+        if x <= 0:
             raise ValueError(f"line {index}: reactance must be positive, got {reactance}")
-        return Line(index, from_bus, to_bus, 1.0 / reactance)
+        return Line(index, from_bus, to_bus, 1 / x)
 
     @property
-    def reactance(self) -> float:
-        return 1.0 / self.admittance
+    def reactance(self) -> Fraction:
+        return 1 / self.admittance
 
     def other_end(self, bus: int) -> int:
         if bus == self.from_bus:

@@ -40,7 +40,7 @@ def ptdf_matrix(grid: Grid, reference_bus: int = 1) -> np.ndarray:
     ptdf = np.zeros((grid.num_lines, grid.num_buses))
     for line in grid.lines:
         f, t = line.from_bus - 1, line.to_bus - 1
-        ptdf[line.index - 1] = line.admittance * (x_full[f] - x_full[t])
+        ptdf[line.index - 1] = float(line.admittance) * (x_full[f] - x_full[t])
     return ptdf
 
 

@@ -1,14 +1,10 @@
-"""MILP backends for the verification model.
+"""MILP backend for the verification model.
 
-Two alternative deciders for the same constraint system the SMT engine
-solves:
-
-* :mod:`repro.milp.backend` — a big-M mirror of the SMT encoding solved
-  with scipy's HiGHS (``scipy.optimize.milp``); the fast path on large
-  systems and the cross-validation oracle for the bundled SMT solver;
-* :mod:`repro.milp.branch_bound` — a small from-scratch branch-and-bound
-  MILP solver over ``scipy.optimize.linprog``, included as a third,
-  independent decision procedure (used in tests on small instances).
+:mod:`repro.milp.backend` is an alternative decider for the same
+constraint system the SMT engine solves: a big-M mirror of the SMT
+encoding solved with scipy's HiGHS (``scipy.optimize.milp``); the fast
+path on large systems and the cross-validation oracle for the bundled
+SMT solver.
 """
 
 from repro.milp.backend import MilpResult, solve_encoder_milp

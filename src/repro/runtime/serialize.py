@@ -10,9 +10,11 @@ cache on problem identity, so it needs a representation of
 * **picklable / JSON-able** — safe to cross a process boundary under
   either the ``fork`` or ``spawn`` start method and to persist on disk,
 * **canonical** — two equal specs produce byte-identical payload JSON,
-  so a stable hash of the payload identifies the verification problem
-  (floats round-trip exactly through ``repr``, which is what both
-  :func:`json.dumps` and :func:`repro.smt.terms.to_fraction` use).
+  so a stable hash of the payload identifies the verification problem.
+  Line admittances travel as the exact ``p/q`` string of their
+  ``Fraction`` (``"400/23"``), so every process solves with the same
+  coefficients; the operating-point floats round-trip exactly through
+  ``repr``, which is what :func:`json.dumps` writes.
 
 ``spec_fingerprint`` is the cache key: a SHA-256 over the canonical
 JSON plus every solver-facing discriminator (backend, epsilon, ...).
@@ -59,7 +61,7 @@ def spec_to_payload(spec: AttackSpec) -> Dict[str, Any]:
         "name": spec.grid.name,
         "num_buses": spec.grid.num_buses,
         "lines": [
-            [line.index, line.from_bus, line.to_bus, line.admittance]
+            [line.index, line.from_bus, line.to_bus, str(line.admittance)]
             for line in spec.grid.lines
         ],
         "line_attrs": line_attrs,
@@ -94,7 +96,8 @@ def payload_to_spec(payload: Dict[str, Any]) -> AttackSpec:
     """Rebuild the spec a payload came from (exact round-trip)."""
     if payload.get("format") != PAYLOAD_FORMAT:
         raise ValueError(f"unsupported spec payload format {payload.get('format')!r}")
-    lines = [Line(int(i), int(f), int(t), float(y)) for i, f, t, y in payload["lines"]]
+    # admittance: a "p/q" string, or a number from an older payload
+    lines = [Line(int(i), int(f), int(t), y) for i, f, t, y in payload["lines"]]
     grid = Grid(int(payload["num_buses"]), lines, name=payload.get("name", ""))
     line_attrs = {
         int(index): LineAttributes(*(bool(flag) for flag in flags))

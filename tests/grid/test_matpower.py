@@ -1,5 +1,7 @@
 """Tests for the MATPOWER case-file parser and writer."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.grid.cases import ieee14
@@ -9,6 +11,7 @@ from repro.grid.matpower import (
     parse_case,
     write_case_file,
 )
+from repro.grid.model import Grid, Line
 
 SAMPLE = """
 function mpc = case3
@@ -84,4 +87,10 @@ class TestRoundTrip:
         assert loaded.num_lines == original.num_lines
         for a, b in zip(original.lines, loaded.lines):
             assert (a.from_bus, a.to_bus) == (b.from_bus, b.to_bus)
-            assert a.admittance == pytest.approx(b.admittance, rel=1e-4)
+            assert a.admittance == b.admittance
+
+    def test_seven_decimal_reactance_survives(self, tmp_path):
+        original = Grid(2, [Line.from_reactance(1, 1, 2, 0.1234567)])
+        path = tmp_path / "case2.m"
+        write_case_file(original, path)
+        assert load_case_file(path).line(1).reactance == Fraction("0.1234567")

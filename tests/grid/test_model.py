@@ -1,5 +1,7 @@
 """Unit tests for the bus/branch grid model."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.grid.model import Grid, Line
@@ -23,6 +25,38 @@ class TestLine:
         line = Line.from_reactance(1, 1, 2, 0.05917)
         assert line.admittance == pytest.approx(16.90, abs=0.005)
         assert line.reactance == pytest.approx(0.05917)
+
+    def test_admittance_is_the_exact_reciprocal(self):
+        line = Line.from_reactance(1, 1, 2, 0.0575)
+        assert (line.admittance, line.reactance) == (Fraction(400, 23), Fraction(23, 400))
+        assert Line.from_reactance(1, 1, 2, "0.0575") == line
+
+    @pytest.mark.parametrize(
+        "given, exact",
+        [
+            (2.0, Fraction(2)),
+            (16.9005, Fraction(169005, 10000)),  # a float by its shortest decimal
+            ("400/23", Fraction(400, 23)),
+            ("16.9005", Fraction(169005, 10000)),
+            (3, Fraction(3)),
+        ],
+    )
+    def test_constructor_normalizes_admittance(self, given, exact):
+        assert Line(1, 1, 2, given).admittance == exact
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (True, TypeError),
+            ("1/0", ValueError),
+            ("abc", ValueError),
+            (float("inf"), ValueError),
+            (float("nan"), ValueError),
+        ],
+    )
+    def test_non_number_admittance_rejected(self, bad, error):
+        with pytest.raises(error):
+            Line(1, 1, 2, bad)
 
     def test_nonpositive_reactance_rejected(self):
         with pytest.raises(ValueError):
