@@ -99,8 +99,6 @@ def main() -> int:
             "--replicas",
             "3",
             "--sessions",
-            "--batch-window",
-            "0.02",
             "--cache-dir",
             cache_dir,
             "--trace-file",
@@ -201,8 +199,6 @@ def main() -> int:
                 "--port",
                 str(baseline_port),
                 "--sessions",
-                "--batch-window",
-                "0.02",
             ],
             env=env,
         )

@@ -75,8 +75,6 @@ def main() -> int:
             "serve",
             "--port",
             str(port),
-            "--batch-window",
-            "0.02",
             "--sessions",
             "--trace-file",
             span_sink,

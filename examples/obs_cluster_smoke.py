@@ -172,8 +172,6 @@ def main() -> int:
             str(port),
             "--replicas",
             "3",
-            "--batch-window",
-            "0.02",
             "--trace-file",
             sink,
             "--slo",

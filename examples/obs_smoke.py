@@ -70,8 +70,6 @@ def main() -> int:
             "serve",
             "--port",
             str(port),
-            "--batch-window",
-            "0.02",
             "--trace-file",
             sink,
         ],

@@ -43,8 +43,6 @@ def main() -> int:
             "serve",
             "--port",
             str(port),
-            "--batch-window",
-            "0.02",
         ],
         env=env,
     )

@@ -147,20 +147,18 @@ def verification_sweep(
     case_names: Sequence[str],
     targets_per_case: int = 3,
     runtime: "Optional[RuntimeOptions]" = None,
-    max_batch: Optional[int] = None,
 ) -> List[Tuple[str, int, "VerificationResult"]]:
     """The Figure 4(a) instance grid.
 
     Builds the standard per-case/per-target verification instances.
-    Serially (``runtime=None``, ``max_batch=None``) each test case gets
-    one :class:`VerificationSession`: the case is encoded once and the
+    Serially (``runtime=None``) each test case gets one
+    :class:`VerificationSession`: the case is encoded once and the
     per-target instances are goal-assumption probes on the same warm
-    solver.  Otherwise the sweep executes through the service's
-    micro-batching path (:func:`repro.service.batching
+    solver.  Otherwise the sweep executes as one batch through the
+    service's batching path (:func:`repro.service.batching
     .verify_specs_batched`, the same code the HTTP API runs), fanning
     out over ``runtime.jobs`` workers, deduping identical instances and
-    hitting the result cache on repeats; ``max_batch`` chunks the sweep
-    the way the online scheduler would.  Returns
+    hitting the result cache on repeats.  Returns
     ``(case_name, target_bus, result)`` rows in deterministic sweep
     order.
     """
@@ -172,7 +170,7 @@ def verification_sweep(
             labels.append((name, target))
             specs.append(spec_for_case(name, target_bus=target))
 
-    if runtime is None and max_batch is None:
+    if runtime is None:
         from repro.core.verification import VerificationSession
 
         sessions: dict = {}
@@ -185,5 +183,5 @@ def verification_sweep(
     else:
         from repro.service.batching import verify_specs_batched
 
-        results = verify_specs_batched(specs, runtime, max_batch=max_batch)
+        results = verify_specs_batched(specs, runtime)
     return [(name, target, result) for (name, target), result in zip(labels, results)]

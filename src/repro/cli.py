@@ -525,10 +525,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # knobs as CLI flags (--cache-dir/--trace-file are added by the
         # cluster itself so every replica shares one tier and one sink)
         replica_args = [
-            "--batch-window",
-            str(args.batch_window),
-            "--max-batch",
-            str(args.max_batch),
             "--max-queue",
             str(args.max_queue),
             "--jobs",
@@ -555,8 +551,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             options=_runtime_options(args),
-            window=args.batch_window,
-            max_batch=args.max_batch,
             max_queue=args.max_queue,
             max_queue_per_client=args.max_queue_per_client,
             replica_id=args.replica_id,
@@ -774,20 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8321, help="0 picks a free port")
-    p.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.05,
-        metavar="SECONDS",
-        help="micro-batching window: how long to hold the first pending "
-        "request while coalescing more (default 0.05)",
-    )
-    p.add_argument(
-        "--max-batch",
-        type=int,
-        default=64,
-        help="max verify requests coalesced into one solver batch",
-    )
     p.add_argument(
         "--max-queue", type=int, default=10_000, help="queue depth before 429s"
     )

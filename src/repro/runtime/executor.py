@@ -477,32 +477,41 @@ def verify_many(
                 return parent
         return context_payload()
 
-    fingerprints: List[Optional[str]] = [None] * n
-    pending: Dict[str, List[int]] = {}  # fingerprint -> indices to fill
-    order: List[int] = []  # first index per unique pending fingerprint
-    for i, spec in enumerate(specs):
-        # session solves may return a different (equally valid) attack
-        # witness than a cold solve, so they get their own cache keyspace
-        key = spec_fingerprint(
+    # session solves may return a different (equally valid) attack
+    # witness than a cold solve, so they get their own cache keyspace
+    fingerprints = [
+        spec_fingerprint(
             spec,
             backend=options.backend_label(),
             epsilon=None if options.epsilon is None else Fraction(options.epsilon),
             extra=("sessions",) if options.sessions else (),
         )
-        fingerprints[i] = key
-        if options.cache is not None:
-            hit = options.cache.get(key)
-            if hit is not None:
-                results[i] = hit
-                if tracer.enabled:
-                    tracer.span(
-                        "runtime.cache", parent=_parent(i), cache="hit"
-                    ).finish()
-                continue
-        bucket = pending.setdefault(key, [])
-        if not bucket:
-            order.append(i)
-        bucket.append(i)
+        for spec in specs
+    ]
+    groups: Dict[str, List[int]] = {}  # fingerprint -> indices, first seen first
+    for i, key in enumerate(fingerprints):
+        groups.setdefault(key, []).append(i)
+
+    def _fill(key: str, result: VerificationResult) -> None:
+        # in-batch duplicates get their own statistics dict
+        first, *rest = groups[key]
+        results[first] = result
+        for index in rest:
+            results[index] = replace(result, statistics=dict(result.statistics))
+
+    order: List[int] = []  # first index per fingerprint the cache missed
+    for key, indices in groups.items():
+        # one lookup per fingerprint: in-batch duplicates share its answer
+        hit = None if options.cache is None else options.cache.get(key)
+        if hit is None:
+            order.append(indices[0])
+            continue
+        _fill(key, hit)
+        if tracer.enabled:
+            for index in indices:
+                tracer.span(
+                    "runtime.cache", parent=_parent(index), cache="hit"
+                ).finish()
 
     jobs = options.effective_jobs(len(order))
     solved: List[VerificationResult] = []
@@ -560,18 +569,12 @@ def verify_many(
 
     for i, result in zip(order, solved):
         key = fingerprints[i]
-        assert key is not None
         if (
             options.cache is not None
             and result.outcome is not VerificationOutcome.UNKNOWN
         ):
             options.cache.put(key, result)
-        for index in pending[key]:
-            results[index] = (
-                result
-                if index == i
-                else replace(result, statistics=dict(result.statistics))
-            )
+        _fill(key, result)
 
     assert all(r is not None for r in results)
     return results  # type: ignore[return-value]

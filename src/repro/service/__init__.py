@@ -8,9 +8,9 @@ and splits into five layers:
 * :mod:`repro.service.jobs` — an asyncio job queue: IDs, states
   (queued/running/done/failed/cancelled/timeout), priorities, per-job
   deadlines and bounded retry on worker failure;
-* :mod:`repro.service.batching` — a micro-batching scheduler that
-  coalesces pending verify requests within a window into single
-  :func:`repro.runtime.verify_many` batches, deduplicating identical
+* :mod:`repro.service.batching` — a batching scheduler that, whenever
+  it is free, runs every verify request already queued as one
+  :func:`repro.runtime.verify_many` batch, deduplicating identical
   specs via their canonical fingerprints;
 * :mod:`repro.service.http` — the JSON HTTP API (``POST /v1/verify``,
   ``POST /v1/synthesize``, ``GET /v1/jobs/<id>``, ``GET /healthz``,

@@ -1,17 +1,19 @@
-"""Micro-batching scheduler: coalesce requests into ``verify_many`` batches.
+"""Batching scheduler: run whatever is queued as one ``verify_many`` batch.
 
 Individually-submitted verification requests are tiny; the runtime's
 batch executor is happiest with many instances at once (one pool
 spin-up, in-batch dedup, one cache sweep).  The scheduler bridges the
-two shapes: it waits for the first pending job, keeps collecting for a
-``window`` (or until ``max_batch``), and executes the whole batch as a
-single :func:`repro.runtime.verify_many` call in a worker thread, so
-the event loop keeps serving HTTP while solvers run.
+two shapes without a timer: whenever it is free it waits for one job,
+takes every other job that is already runnable (up to
+:data:`MAX_BATCH`), and executes the whole batch as a single
+:func:`repro.runtime.verify_many` call in a worker thread, so the event
+loop keeps serving HTTP while solvers run.  Requests that arrive while
+a batch runs queue up and form the next batch.
 
 Identical concurrent requests cost one solver invocation: in-batch
 duplicates collapse via the canonical spec fingerprint inside
-``verify_many``, and stragglers that land in a later batch hit the
-shared :class:`~repro.runtime.cache.ResultCache`.
+``verify_many``, and those that miss a running batch land in the next
+one as hits on the shared :class:`~repro.runtime.cache.ResultCache`.
 
 :func:`verify_specs_batched` is the same execution path exposed as a
 plain function — the offline sweeps
@@ -24,7 +26,6 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import functools
-import time
 from collections import deque
 from fractions import Fraction
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
@@ -44,6 +45,10 @@ from repro.runtime.serialize import (
 from repro.service.jobs import Job, JobQueue, JobState
 
 _LOG = get_logger("repro.service.batching")
+
+#: most jobs one batch takes; bounds how long a priority -10 monitor
+#: probe waits behind a full batch
+MAX_BATCH = 64
 
 _M_BATCH_SIZE = obs_metrics.histogram(
     "repro_batch_size",
@@ -145,37 +150,23 @@ class BatchStats:
 def verify_specs_batched(
     specs: Sequence[AttackSpec],
     options: Optional[RuntimeOptions] = None,
-    max_batch: Optional[int] = None,
     stats: Optional[BatchStats] = None,
     trace_parents: Optional[Sequence[Optional[Dict[str, str]]]] = None,
 ) -> List[VerificationResult]:
-    """Verify ``specs`` in micro-batches of ``max_batch`` (None: one batch).
+    """Verify ``specs`` as one :func:`verify_many` batch.
 
     The single shared execution path for the online scheduler and the
-    offline sweeps: each chunk goes through :func:`verify_many` (dedup,
-    cache, process-pool fan-out per ``options``), results return in
-    input order, and ``stats`` — when provided — is credited exactly as
-    the service's ``/statsz`` endpoint reports it.  ``trace_parents``
-    (aligned with ``specs``) carries each request's span context into
-    the runtime so pool-task and solver spans join the right trace.
+    offline sweeps: dedup, cache and process-pool fan-out per
+    ``options``, results in input order, and ``stats`` — when provided —
+    credited exactly as the service's ``/statsz`` endpoint reports it.
+    ``trace_parents`` (aligned with ``specs``) carries each request's
+    span context into the runtime so pool-task and solver spans join
+    the right trace.
     """
     options = options or RuntimeOptions()
-    specs = list(specs)
-    parents = list(trace_parents) if trace_parents is not None else None
-    step = len(specs) if not max_batch or max_batch <= 0 else max_batch
-    results: List[VerificationResult] = []
-    for start in range(0, len(specs), max(1, step)):
-        chunk = specs[start : start + step]
-        chunk_parents = None if parents is None else parents[start : start + step]
-        if chunk_parents is not None and any(p is not None for p in chunk_parents):
-            chunk_results = verify_many(chunk, options, trace_parents=chunk_parents)
-        else:
-            # tracing off (every parent None): keep the historical
-            # two-argument call so test doubles of verify_many still fit
-            chunk_results = verify_many(chunk, options)
-        if stats is not None:
-            stats.observe_specs(chunk, chunk_results, options)
-        results.extend(chunk_results)
+    results = verify_many(specs, options, trace_parents=trace_parents)
+    if stats is not None:
+        stats.observe_specs(specs, results, options)
     return results
 
 
@@ -223,51 +214,37 @@ def _run_synthesis(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 class BatchingScheduler:
-    """Pull jobs from a :class:`JobQueue`, execute them in micro-batches.
+    """Pull jobs from a :class:`JobQueue`, execute them in batches.
 
     One batch at a time: the collect phase blocks until a first job
-    arrives, then keeps the window open; the execute phase runs solver
-    work in the event loop's default thread pool executor so HTTP
-    handling never blocks.  Failed attempts (a raising backend, a dead
-    worker pool) are retried up to each job's ``max_retries`` before
-    the job goes to ``failed``.
+    arrives, then takes every job already runnable, up to
+    :data:`MAX_BATCH`, without waiting for more; the execute phase runs
+    solver work in the event loop's default thread pool executor so
+    HTTP handling never blocks.  Failed attempts (a raising backend, a
+    dead worker pool) are retried up to each job's ``max_retries``
+    before the job goes to ``failed``.
     """
 
     def __init__(
         self,
         queue: JobQueue,
         options: Optional[RuntimeOptions] = None,
-        window: float = 0.05,
-        max_batch: int = 64,
         stats: Optional[BatchStats] = None,
     ) -> None:
-        if window < 0:
-            raise ValueError("window must be >= 0")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         self.queue = queue
         self.options = options or RuntimeOptions()
-        self.window = window
-        self.max_batch = max_batch
         self.stats = stats or BatchStats()
 
     # ------------------------------------------------------------------
     async def run(self) -> None:
         """Serve forever; cancel the task to stop."""
         while True:
-            batch = await self._collect()
-            if batch:
-                await self._execute(batch)
+            await self._execute(await self._collect())
 
     async def _collect(self) -> List[Job]:
-        first = await self.queue.take()
-        batch = [first]
-        closes_at = time.monotonic() + self.window
-        while len(batch) < self.max_batch:
-            remaining = closes_at - time.monotonic()
-            if remaining <= 0:
-                break
-            job = await self.queue.take(timeout=remaining)
+        batch = [await self.queue.take()]
+        while len(batch) < MAX_BATCH:
+            job = self.queue.take_nowait()
             if job is None:
                 break
             batch.append(job)
@@ -311,16 +288,7 @@ class BatchingScheduler:
                 await self._retry_or_fail(job, exc)
             return
         for job, result in zip(group, results):
-            self._finish_verify(job, result_to_payload(result))
-
-    def _finish_verify(self, job: Job, result_payload: Dict[str, Any]) -> None:
-        if job.expired():
-            self.queue.finish(
-                job, JobState.TIMEOUT, error="deadline expired while running"
-            )
-        else:
-            self.queue.finish(job, JobState.DONE, result=result_payload)
-        self._observe_finish(job)
+            self._finish(job, result_to_payload(result))
 
     async def _execute_synthesis(self, job: Job) -> None:
         loop = asyncio.get_running_loop()
@@ -331,6 +299,9 @@ class BatchingScheduler:
         except Exception as exc:
             await self._retry_or_fail(job, exc)
             return
+        self._finish(job, result)
+
+    def _finish(self, job: Job, result: Dict[str, Any]) -> None:
         if job.expired():
             self.queue.finish(
                 job, JobState.TIMEOUT, error="deadline expired while running"

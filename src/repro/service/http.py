@@ -256,8 +256,6 @@ class ServiceApp:
     def __init__(
         self,
         options: Optional[RuntimeOptions] = None,
-        window: float = 0.05,
-        max_batch: int = 64,
         max_queue: int = 10_000,
         max_queue_per_client: Optional[int] = None,
         replica_id: Optional[str] = None,
@@ -273,9 +271,7 @@ class ServiceApp:
         self.queue = JobQueue(max_depth=max_queue, max_per_client=max_queue_per_client)
         self.queue.on_terminal = self._on_job_terminal
         self.stats = BatchStats()
-        self.scheduler = BatchingScheduler(
-            self.queue, options, window=window, max_batch=max_batch, stats=self.stats
-        )
+        self.scheduler = BatchingScheduler(self.queue, options, stats=self.stats)
         self.draining = False
         self.incidents = IncidentStore()
         self.slo: Optional[SloEvaluator] = (
@@ -575,11 +571,7 @@ class ServiceApp:
             "replica": self.replica_id,
             "draining": self.draining,
             "queue": self.queue.snapshot(),
-            "batching": {
-                **self.stats.snapshot(),
-                "window_seconds": self.scheduler.window,
-                "max_batch": self.scheduler.max_batch,
-            },
+            "batching": self.stats.snapshot(),
             "cache": None if cache is None else cache.snapshot(),
             "runtime": self.options.describe(),
             "engine": engine_signature(),
@@ -855,8 +847,6 @@ async def serve_async(
     host: str = "127.0.0.1",
     port: int = 8321,
     options: Optional[RuntimeOptions] = None,
-    window: float = 0.05,
-    max_batch: int = 64,
     max_queue: int = 10_000,
     max_queue_per_client: Optional[int] = None,
     replica_id: Optional[str] = None,
@@ -885,8 +875,6 @@ async def serve_async(
     """
     app = ServiceApp(
         options=options,
-        window=window,
-        max_batch=max_batch,
         max_queue=max_queue,
         max_queue_per_client=max_queue_per_client,
         replica_id=replica_id,

@@ -182,10 +182,11 @@ class Job:
 class JobQueue:
     """Priority FIFO with lifecycle bookkeeping and completion events.
 
-    ``submit``/``take``/``requeue``/``finish`` must all run on one event
-    loop (the service's); cross-thread callers go through the HTTP API
-    or ``loop.call_soon_threadsafe``.  Terminal jobs stay queryable
-    until ``max_finished`` later completions push them out.
+    ``submit``/``take``/``take_nowait``/``requeue``/``finish`` must all
+    run on one event loop (the service's); cross-thread callers go
+    through the HTTP API or ``loop.call_soon_threadsafe``.  Terminal
+    jobs stay queryable until ``max_finished`` later completions push
+    them out.
     """
 
     def __init__(
@@ -332,26 +333,21 @@ class JobQueue:
             self._cond.notify()
         return job
 
-    async def take(self, timeout: Optional[float] = None) -> Optional[Job]:
-        """Pop the next runnable job; ``None`` after ``timeout`` seconds.
-
-        Cancelled entries are skipped; queued jobs past their deadline
-        transition to ``timeout`` here instead of running.
-        """
-        try:
-            return await asyncio.wait_for(self._take(), timeout)
-        except asyncio.TimeoutError:
-            return None
-
-    async def _take(self) -> Job:
+    async def take(self) -> Job:
+        """Wait for the next runnable job and pop it (see :meth:`take_nowait`)."""
         async with self._cond:
             while True:
-                job = self._pop_runnable()
+                job = self.take_nowait()
                 if job is not None:
                     return job
                 await self._cond.wait()
 
-    def _pop_runnable(self) -> Optional[Job]:
+    def take_nowait(self) -> Optional[Job]:
+        """Pop the next runnable job; ``None`` when none is queued.
+
+        Cancelled entries are skipped; queued jobs past their deadline
+        transition to ``timeout`` here instead of running.
+        """
         while self._heap:
             _, _, _, job_id = heapq.heappop(self._heap)
             job = self._jobs.get(job_id)

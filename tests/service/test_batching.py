@@ -1,6 +1,7 @@
-"""Batching scheduler: coalescing, dedup, retries, stats, shared sweep path."""
+"""Batching scheduler: batch composition, dedup, retries, stats, sweep path."""
 
 import asyncio
+import threading
 
 import pytest
 
@@ -45,7 +46,7 @@ class TestSchedulerLifecycle:
     def test_queue_batch_done(self):
         async def body():
             queue = JobQueue()
-            scheduler = BatchingScheduler(queue, RuntimeOptions(), window=0.01)
+            scheduler = BatchingScheduler(queue, RuntimeOptions())
             job = await queue.submit("verify", verify_payload(make_spec()))
             assert job.state is JobState.QUEUED
             await run_jobs(scheduler, queue, [job])
@@ -59,7 +60,7 @@ class TestSchedulerLifecycle:
     def test_unknown_kind_fails_cleanly(self):
         async def body():
             queue = JobQueue()
-            scheduler = BatchingScheduler(queue, RuntimeOptions(), window=0.01)
+            scheduler = BatchingScheduler(queue, RuntimeOptions())
             job = await queue.submit("frobnicate", {})
             await run_jobs(scheduler, queue, [job])
             assert job.state is JobState.FAILED
@@ -70,7 +71,7 @@ class TestSchedulerLifecycle:
     def test_synthesize_job(self):
         async def body():
             queue = JobQueue()
-            scheduler = BatchingScheduler(queue, RuntimeOptions(), window=0.01)
+            scheduler = BatchingScheduler(queue, RuntimeOptions())
             payload = verify_payload(
                 make_spec(), settings={"max_secured_buses": 6, "excluded_buses": []}
             )
@@ -81,6 +82,77 @@ class TestSchedulerLifecycle:
             assert isinstance(job.result["architecture"], list)
 
         asyncio.run(body())
+
+
+class TestBatchComposition:
+    def test_batch_is_what_was_queued(self, monkeypatch):
+        real = batching_module.verify_many
+        batches = []
+        entered = threading.Event()
+        release = threading.Event()
+
+        def blocking(specs, options, trace_parents=None):
+            batches.append([spec.goal for spec in specs])
+            if len(batches) == 1:
+                entered.set()
+                release.wait(timeout=10.0)
+            return real(specs, options, trace_parents=trace_parents)
+
+        monkeypatch.setattr(batching_module, "verify_many", blocking)
+
+        async def body():
+            queue = JobQueue()
+            scheduler = BatchingScheduler(queue, RuntimeOptions())
+            early = [
+                await queue.submit("verify", verify_payload(make_spec(bus)))
+                for bus in (4, 9)
+            ]
+            task = asyncio.create_task(scheduler.run())
+            try:
+                # the first batch is inside verify_many, holding the scheduler
+                loop = asyncio.get_running_loop()
+                assert await loop.run_in_executor(None, entered.wait, 10.0)
+                late = [
+                    await queue.submit("verify", verify_payload(make_spec(bus)))
+                    for bus in (13, 14)
+                ]
+                release.set()
+                await asyncio.wait_for(
+                    asyncio.gather(*(job.done.wait() for job in early + late)), 60
+                )
+            finally:
+                release.set()
+                task.cancel()
+                try:
+                    await task
+                except asyncio.CancelledError:
+                    pass
+            assert all(job.state is JobState.DONE for job in early + late)
+            return scheduler.stats
+
+        stats = asyncio.run(body())
+        assert batches == [
+            [make_spec(4).goal, make_spec(9).goal],
+            [make_spec(13).goal, make_spec(14).goal],
+        ]
+        assert stats.batches == 2
+        assert stats.size_histogram == {2: 2}
+
+    def test_max_batch_caps_a_batch(self, monkeypatch):
+        monkeypatch.setattr(batching_module, "MAX_BATCH", 2)
+
+        async def body():
+            queue = JobQueue()
+            scheduler = BatchingScheduler(queue, RuntimeOptions())
+            jobs = [
+                await queue.submit("verify", verify_payload(make_spec(bus)))
+                for bus in (4, 9, 13)
+            ]
+            await run_jobs(scheduler, queue, jobs)
+            return scheduler.stats
+
+        stats = asyncio.run(body())
+        assert stats.size_histogram == {2: 1, 1: 1}
 
 
 class TestDedup:
@@ -98,11 +170,7 @@ class TestDedup:
             queue = JobQueue()
             stats = BatchStats()
             scheduler = BatchingScheduler(
-                queue,
-                RuntimeOptions(cache=ResultCache()),
-                window=0.05,
-                max_batch=16,
-                stats=stats,
+                queue, RuntimeOptions(cache=ResultCache()), stats=stats
             )
             spec = make_spec()
             jobs = [
@@ -123,9 +191,7 @@ class TestDedup:
         async def body():
             queue = JobQueue()
             stats = BatchStats()
-            scheduler = BatchingScheduler(
-                queue, RuntimeOptions(), window=0.05, max_batch=16, stats=stats
-            )
+            scheduler = BatchingScheduler(queue, RuntimeOptions(), stats=stats)
             jobs = [
                 await queue.submit("verify", verify_payload(make_spec(bus)))
                 for bus in (4, 9, 13)
@@ -140,9 +206,7 @@ class TestDedup:
         async def body():
             queue = JobQueue()
             stats = BatchStats()
-            scheduler = BatchingScheduler(
-                queue, RuntimeOptions(), window=0.05, max_batch=16, stats=stats
-            )
+            scheduler = BatchingScheduler(queue, RuntimeOptions(), stats=stats)
             spec = make_spec()
             smt = await queue.submit("verify", verify_payload(spec, backend="smt"))
             milp = await queue.submit("verify", verify_payload(spec, backend="milp"))
@@ -160,20 +224,18 @@ class TestRetry:
         real = batching_module.verify_many
         failures = {"left": 1}
 
-        def flaky(specs, options):
+        def flaky(specs, options, trace_parents=None):
             if failures["left"] > 0:
                 failures["left"] -= 1
                 raise RuntimeError("worker pool died")
-            return real(specs, options)
+            return real(specs, options, trace_parents=trace_parents)
 
         monkeypatch.setattr(batching_module, "verify_many", flaky)
 
         async def body():
             queue = JobQueue()
             stats = BatchStats()
-            scheduler = BatchingScheduler(
-                queue, RuntimeOptions(), window=0.01, stats=stats
-            )
+            scheduler = BatchingScheduler(queue, RuntimeOptions(), stats=stats)
             job = await queue.submit("verify", verify_payload(make_spec()))
             await run_jobs(scheduler, queue, [job])
             assert job.state is JobState.DONE
@@ -183,7 +245,7 @@ class TestRetry:
         asyncio.run(body())
 
     def test_persistent_failure_exhausts_retries(self, monkeypatch):
-        def broken(specs, options):
+        def broken(specs, options, trace_parents=None):
             raise RuntimeError("backend permanently broken")
 
         monkeypatch.setattr(batching_module, "verify_many", broken)
@@ -191,9 +253,7 @@ class TestRetry:
         async def body():
             queue = JobQueue()
             stats = BatchStats()
-            scheduler = BatchingScheduler(
-                queue, RuntimeOptions(), window=0.01, stats=stats
-            )
+            scheduler = BatchingScheduler(queue, RuntimeOptions(), stats=stats)
             job = await queue.submit(
                 "verify", verify_payload(make_spec()), max_retries=1
             )
@@ -219,7 +279,7 @@ class TestDeadline:
 
         async def body():
             queue = JobQueue()
-            scheduler = BatchingScheduler(queue, RuntimeOptions(), window=0.01)
+            scheduler = BatchingScheduler(queue, RuntimeOptions())
             job = await queue.submit(
                 "verify", verify_payload(make_spec()), deadline=0.0
             )
@@ -249,13 +309,6 @@ class TestBatchStats:
         snap = BatchStats().snapshot()
         assert snap["latency_p50"] is None and snap["latency_p95"] is None
 
-    def test_rejects_bad_config(self):
-        queue = JobQueue.__new__(JobQueue)  # no loop needed for ctor checks
-        with pytest.raises(ValueError):
-            BatchingScheduler(queue, window=-1.0)
-        with pytest.raises(ValueError):
-            BatchingScheduler(queue, max_batch=0)
-
 
 class TestSharedOfflinePath:
     def test_matches_verify_many(self):
@@ -263,33 +316,44 @@ class TestSharedOfflinePath:
 
         specs = [make_spec(bus) for bus in (4, 9, 13)]
         direct = verify_many(specs, RuntimeOptions())
-        batched = verify_specs_batched(specs, RuntimeOptions(), max_batch=2)
+        batched = verify_specs_batched(specs, RuntimeOptions())
         for a, b in zip(direct, batched):
             assert a.outcome == b.outcome
             assert a.attack == b.attack
 
-    def test_chunking_and_stats(self):
+    def test_batch_stats(self):
         specs = [make_spec(9), make_spec(9), make_spec(13)]
         stats = BatchStats()
         cache = ResultCache()
-        results = verify_specs_batched(
-            specs, RuntimeOptions(cache=cache), max_batch=2, stats=stats
-        )
+        results = verify_specs_batched(specs, RuntimeOptions(cache=cache), stats=stats)
         assert len(results) == 3
-        # chunk 1 = [9, 9]: one solve + one in-batch dedup;
-        # chunk 2 = [13]: one solve
+        # [9, 9, 13]: two solves + one in-batch dedup
         assert stats.solver_calls == 2
         assert stats.dedup_hits == 1
+
+    def test_cached_duplicates_are_one_cache_hit(self):
+        spec = make_spec()
+        stats = BatchStats()
+        cache = ResultCache()
+        options = RuntimeOptions(cache=cache)
+        verify_specs_batched([spec], options)
+        results = verify_specs_batched([spec, spec], options, stats=stats)
+        assert all(r.statistics.get("cache_hit") == 1 for r in results)
+        assert results[0].statistics is not results[1].statistics
+        # one lookup for the fingerprint, the copy is an in-batch dedup
+        assert cache.stats.hits == stats.cache_hits == 1
+        assert stats.dedup_hits == 1
+        assert stats.solver_calls == 0
 
     def test_sweep_goes_through_batching(self):
         from repro.analysis.sweeps import verification_sweep
 
-        rows_one_batch = verification_sweep(["ieee14"], targets_per_case=2)
-        rows_chunked = verification_sweep(
-            ["ieee14"], targets_per_case=2, max_batch=1
+        rows_serial = verification_sweep(["ieee14"], targets_per_case=2)
+        rows_batched = verification_sweep(
+            ["ieee14"], targets_per_case=2, runtime=RuntimeOptions()
         )
-        assert [(n, t, r.outcome) for n, t, r in rows_one_batch] == [
-            (n, t, r.outcome) for n, t, r in rows_chunked
+        assert [(n, t, r.outcome) for n, t, r in rows_serial] == [
+            (n, t, r.outcome) for n, t, r in rows_batched
         ]
 
     def test_empty_specs(self):

@@ -32,8 +32,6 @@ def make_spec(bus=9):
 def server():
     handle = start_in_thread(
         options=RuntimeOptions(jobs=1, cache=ResultCache()),
-        window=0.05,
-        max_batch=32,
     )
     client = ServiceClient(port=handle.port)
     client.wait_until_ready()
@@ -248,9 +246,9 @@ class TestGracefulDrain:
         release = threading.Event()
         real = batching_module.verify_many
 
-        def slow(specs, options):
+        def slow(specs, options, trace_parents=None):
             release.wait(timeout=10.0)
-            return real(specs, options)
+            return real(specs, options, trace_parents=trace_parents)
 
         monkeypatch.setattr(batching_module, "verify_many", slow)
 

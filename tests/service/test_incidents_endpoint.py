@@ -33,8 +33,6 @@ def incident_payload(id="state_drift-00020-00", **overrides):
 def server():
     handle = start_in_thread(
         options=RuntimeOptions(jobs=1, cache=ResultCache()),
-        window=0.05,
-        max_batch=32,
     )
     client = ServiceClient(port=handle.port)
     client.wait_until_ready()
@@ -160,8 +158,6 @@ class TestTraceContextHeader:
         sink = tmp_path / "spans.jsonl"
         handle = start_in_thread(
             options=RuntimeOptions(jobs=1, cache=ResultCache()),
-            window=0.05,
-            max_batch=32,
             trace_file=str(sink),
         )
         try:

@@ -33,10 +33,10 @@ class TestOrdering:
 
         run(body())
 
-    def test_take_timeout_on_empty_queue(self):
+    def test_take_nowait_on_empty_queue(self):
         async def body():
             queue = JobQueue()
-            assert await queue.take(timeout=0.01) is None
+            assert queue.take_nowait() is None
 
         run(body())
 
@@ -120,7 +120,7 @@ class TestDeadlines:
             queue = JobQueue()
             job = await queue.submit("verify", {}, deadline=0.0)
             await asyncio.sleep(0.005)
-            assert await queue.take(timeout=0.05) is None  # never dispatched
+            assert queue.take_nowait() is None  # never dispatched
             assert job.state is JobState.TIMEOUT
             assert "deadline" in job.error
             assert queue.counters["timeout"] == 1

@@ -30,8 +30,6 @@ def traced_server(tmp_path):
     sink = tmp_path / "spans.jsonl"
     handle = start_in_thread(
         options=RuntimeOptions(jobs=1, cache=ResultCache()),
-        window=0.05,
-        max_batch=32,
         trace_file=str(sink),
     )
     client = ServiceClient(port=handle.port)

@@ -277,13 +277,24 @@ class TestServe:
     def test_parser_exposes_serve(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["serve", "--port", "0", "--batch-window", "0.1", "--jobs", "2"]
-        )
+        args = build_parser().parse_args(["serve", "--port", "0", "--jobs", "2"])
         assert args.func.__name__ == "_cmd_serve"
         assert args.port == 0
-        assert args.batch_window == 0.1
         assert args.jobs == 2
+
+    @pytest.mark.parametrize(
+        "knob", [["--batch-window", "0.1"], ["--max-batch", "8"]]
+    )
+    def test_batching_knobs_are_gone(self, knob, capsys):
+        from repro.cli import build_parser
+
+        # an unknown flag is a usage error: one line, exit 3
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", *knob])
+        assert excinfo.value.code == 3
+        assert capsys.readouterr().err == (
+            f"repro: error: unrecognized arguments: {' '.join(knob)}\n"
+        )
 
 
 class TestObservabilityCli:
