@@ -93,11 +93,13 @@ def solve_encoder_milp(
     for clause in cnf.clauses:
         add_clause_row(clause)
 
-    # atom indicator links
-    for sat_var, (coeff_items, op, bound) in cnf.atom_of_var.items():
+    # atom indicator links; each integer row is read at its monic scale
+    # (first coefficient 1), the scale strict_eps and big-M were set for
+    for sat_var, (row, op, bound) in cnf.atom_of_var.items():
         bcol = sat_var - 1
-        expr = {real_col(ri): float(c) for ri, c in coeff_items}
-        b = float(bound)
+        lead = row[0][1]
+        expr = {real_col(ri): c / lead for ri, c in row}
+        b = float(bound / lead)
         big_m = sum(abs(c) for c in expr.values()) * box + abs(b) + 1.0
         if op == "<=":
             # x=1 -> e <= b        : e + M x <= b + M

@@ -5,7 +5,10 @@ The :class:`CnfBuilder` owns the SAT variable space.  It interns:
 * boolean variables (one SAT variable per :class:`~repro.smt.terms.BoolVar`),
 * arithmetic atoms, deduplicated on a *canonical form* so that syntactic
   variants of the same half-space (``2x - 2y <= 4`` vs ``x - y <= 2``)
-  share one SAT variable and, later, one simplex slack variable,
+  share one SAT variable and, later, one simplex slack variable.  The
+  form is a primitive integer row (coprime integer coefficients, the
+  first one positive), computed once per linear expression, so no
+  ``Fraction`` is hashed on the way to the simplex,
 * gates for ``And``/``Or``/``Not`` sub-terms, deduplicated on their
   child-literal signatures.
 
@@ -17,6 +20,7 @@ variable indices starting at 1.  Variable 1 is reserved as the constant
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.smt.terms import (
@@ -25,35 +29,64 @@ from repro.smt.terms import (
     BoolConst,
     BoolTerm,
     BoolVar,
+    LinExpr,
     Not,
     Or,
 )
 
-# A canonical atom: sorted (var, coeff) pairs with monic leading
-# coefficient, an operator and a rational bound.
-CanonicalAtom = Tuple[Tuple[Tuple[int, Fraction], ...], str, Fraction]
+# A primitive integer row: (RealVar index, coefficient) pairs sorted by
+# index, with coprime coefficients and the first one positive.
+Row = Tuple[Tuple[int, int], ...]
+
+# A canonical atom: a primitive integer row, an operator and a rational
+# bound.
+CanonicalAtom = Tuple[Row, str, Fraction]
+
+
+def canonical_form(expr: LinExpr) -> Tuple[Row, Fraction]:
+    """The primitive integer row of a linear form, and its scale.
+
+    Returns ``(row, scale)`` with ``row == scale * expr``; ``scale`` is
+    negative when the form's first coefficient is.  Computed once per
+    expression and cached on it (a :class:`LinExpr` is immutable).
+    """
+    form = expr._form
+    if form is not None:
+        return form
+    items = sorted(expr.coeffs.items())
+    if not items:
+        raise ValueError("constant atoms must be folded before CNF conversion")
+    for var, coeff in items:
+        if type(coeff) is not Fraction and type(coeff) is not int:
+            raise TypeError(
+                f"coefficient {coeff!r} of real variable {var} is not an "
+                "exact rational (int or Fraction)"
+            )
+    den = lcm(*[c.denominator for _, c in items])
+    nums = [c.numerator * (den // c.denominator) for _, c in items]
+    g = gcd(*nums)
+    if nums[0] < 0:
+        g = -g
+    row = tuple((var, num // g) for (var, _), num in zip(items, nums))
+    form = expr._form = (row, Fraction(den, g))
+    return form
 
 
 def canonicalize_atom(atom: Atom) -> CanonicalAtom:
     """Normalize an atom so equivalent half-spaces share one key.
 
-    The linear form is scaled so the coefficient of the lowest-indexed
-    variable becomes 1; a negative leading coefficient flips the operator.
+    The linear form becomes its primitive integer row and the bound is
+    scaled with it; a negative scale flips the operator.
     """
-    items = sorted(atom.expr.coeffs.items())
-    if not items:
-        raise ValueError("constant atoms must be folded before CNF conversion")
-    lead = items[0][1]
-    if lead == 1:
-        # already monic — the common case for the verification encodings
-        # (delta/state variables enter with unit coefficients); skip the
-        # per-coefficient Fraction divisions
-        return (tuple(items), atom.op, atom.bound)
+    row, scale = canonical_form(atom.expr)
     op = atom.op
-    if lead < 0:
-        op = ">=" if op == "<=" else "<="
-    coeffs = tuple((v, c / lead) for v, c in items)
-    return (coeffs, op, atom.bound / lead)
+    bound = atom.bound
+    if scale != 1:
+        if scale < 0:
+            op = ">=" if op == "<=" else "<="
+        if bound:
+            bound = bound * scale
+    return (row, op, bound)
 
 
 class CnfBuilder:
@@ -69,7 +102,8 @@ class CnfBuilder:
         self._hook = add_clause
         self._emit([self.TRUE_LIT])
         self._bool_vars: Dict[int, int] = {}  # BoolVar.index -> sat var
-        self._atoms: Dict[CanonicalAtom, int] = {}
+        # (row, op, bound numerator, bound denominator) -> sat var
+        self._atoms: Dict[Tuple[Row, str, int, int], int] = {}
         self._gates: Dict[Tuple[str, Tuple[int, ...]], int] = {}
         # sat var -> canonical atom (for the theory layer)
         self.atom_of_var: Dict[int, CanonicalAtom] = {}
@@ -97,7 +131,9 @@ class CnfBuilder:
         return sat
 
     def var_for_atom(self, atom: Atom) -> int:
-        key = canonicalize_atom(atom)
+        canonical = canonicalize_atom(atom)
+        row, op, bound = canonical
+        key = (row, op, bound.numerator, bound.denominator)
         sat = self._atoms.get(key)
         if sat is None:
             # The complementary operator over the same form is a *distinct*
@@ -105,7 +141,7 @@ class CnfBuilder:
             # same slack and resolves interactions semantically.
             sat = self.new_var()
             self._atoms[key] = sat
-            self.atom_of_var[sat] = key
+            self.atom_of_var[sat] = canonical
         return sat
 
     def literal_for(self, term: BoolTerm) -> int:

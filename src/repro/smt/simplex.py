@@ -294,12 +294,31 @@ class Simplex:
         """Install the definition ``slack == sum(coeff * var)``.
 
         Must be called before any bounds are asserted; ``slack`` becomes
-        a basic variable.  Accepts ``Fraction`` (or int) coefficients —
-        this is the cold path; the row is stored as integer numerators
-        over one common denominator.
+        a basic variable.  Accepts ``Fraction`` (or int) coefficients;
+        the row is stored as integer numerators over one common
+        denominator.  An all-integer row over nonbasic variables (the
+        theory layer's canonical rows, before any pivot) is stored as
+        given, over denominator 1.
         """
         assert slack not in self.rows, "slack already defined"
         assert not self.trail, "rows must be installed before bound assertions"
+        rows = self.rows
+        if all(type(c) is int and var not in rows for var, c in coeffs.items()):
+            row = {var: coeff for var, coeff in coeffs.items() if coeff}
+            den = 1
+        else:
+            row, den = self._integer_row(coeffs)
+        value = T_ZERO
+        for var, num in row.items():
+            value = _tadd(value, _tscale(self._val[var], num, 1))
+            self.cols[var].add(slack)
+        self.rows[slack] = row
+        self.row_den[slack] = den
+        self._val[slack] = _tscale(value, 1, den)
+
+    def _integer_row(self, coeffs: Dict[int, Fraction]) -> Tuple[Dict[int, int], int]:
+        """``coeffs`` over nonbasic variables, as numerators and their
+        common denominator: basic variables are replaced by their rows."""
         frac_row: Dict[int, Fraction] = {}
         for var, coeff in coeffs.items():
             if coeff == 0:
@@ -318,14 +337,7 @@ class Simplex:
         den = 1
         for coeff in frac_row.values():
             den = den * coeff.denominator // gcd(den, coeff.denominator)
-        row = {var: int(coeff * den) for var, coeff in frac_row.items()}
-        value = T_ZERO
-        for var, num in row.items():
-            value = _tadd(value, _tscale(self._val[var], num, 1))
-            self.cols[var].add(slack)
-        self.rows[slack] = row
-        self.row_den[slack] = den
-        self._val[slack] = _tscale(value, 1, den)
+        return {var: int(coeff * den) for var, coeff in frac_row.items()}, den
 
     # ------------------------------------------------------------------
     # violated-set maintenance

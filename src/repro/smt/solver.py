@@ -164,7 +164,7 @@ class Solver:
         # last UNSAT check's failed assumptions, as passed by the caller
         self._core: List[Union[BoolTerm, int]] = []
         # atoms grouped by canonical linear form, for lattice lemmas:
-        # form -> list of (op, bound, sat var)
+        # primitive integer row -> list of (op, bound, sat var)
         self._atoms_by_form: Dict[tuple, List[tuple]] = {}
 
     def set_profile(self, enabled: bool = True) -> None:
@@ -257,8 +257,8 @@ class Solver:
         reasoning, which is decisive for the verification encodings
         (``cz <-> delta != 0`` clusters 4+ atoms per form).
         """
-        coeffs, op, bound = atom
-        siblings = self._atoms_by_form.setdefault(coeffs, [])
+        row, op, bound = atom
+        siblings = self._atoms_by_form.setdefault(row, [])
         for other_op, other_bound, other_var in siblings:
             if other_var == sat_var:
                 continue

@@ -84,13 +84,17 @@ class LinExpr:
     """An immutable affine expression ``sum(coeff_i * var_i) + const``.
 
     ``coeffs`` maps :attr:`RealVar.index` to a nonzero Fraction.
+    ``_form`` caches the expression's primitive integer row, computed
+    once by :func:`repro.smt.cnf.canonical_form` and shared by every
+    atom over this expression.
     """
 
-    __slots__ = ("coeffs", "const")
+    __slots__ = ("coeffs", "const", "_form")
 
     def __init__(self, coeffs: Mapping[int, Fraction], const: Fraction) -> None:
         self.coeffs = {v: c for v, c in coeffs.items() if c != 0}
         self.const = const
+        self._form = None
 
     @staticmethod
     def constant(value: Number) -> "LinExpr":
@@ -111,7 +115,8 @@ class LinExpr:
         other = LinExpr.of(other)
         coeffs = dict(self.coeffs)
         for v, c in other.coeffs.items():
-            coeffs[v] = coeffs.get(v, Fraction(0)) + c
+            mine = coeffs.get(v)
+            coeffs[v] = c if mine is None else mine + c
         return LinExpr(coeffs, self.const + other.const)
 
     __radd__ = __add__
@@ -234,7 +239,8 @@ class Atom(BoolTerm):
 
     ``op`` is the string ``"<="`` or ``">="``.  The expression's constant
     part is folded into ``bound`` at construction so that ``expr`` is a
-    pure linear form.
+    pure linear form.  A pure linear form is kept as given, so the atoms
+    built over one expression share its canonical form.
     """
 
     __slots__ = ("expr", "op", "bound")
@@ -242,9 +248,13 @@ class Atom(BoolTerm):
     def __init__(self, expr: LinExpr, op: str, bound: Fraction) -> None:
         if op not in ("<=", ">="):
             raise ValueError(f"unsupported atom operator {op!r}")
-        self.expr = LinExpr(expr.coeffs, Fraction(0))
         self.op = op
-        self.bound = bound - expr.const
+        if expr.const:
+            self.expr = LinExpr(expr.coeffs, Fraction(0))
+            self.bound = bound - expr.const
+        else:
+            self.expr = expr
+            self.bound = bound
 
     def __repr__(self) -> str:
         return f"Atom({self.expr!r} {self.op} {self.bound})"

@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.smt.cnf import CanonicalAtom
+from repro.smt.cnf import CanonicalAtom, Row
 from repro.smt.simplex import DeltaRational, ReferenceSimplex, Simplex
 
 ONE = Fraction(1)
@@ -78,8 +78,8 @@ class LraTheory:
         self.simplex = _ENGINES[kernel]()
         # RealVar.index -> simplex var
         self._real_vars: Dict[int, int] = {}
-        # canonical linear form -> simplex var holding its value
-        self._forms: Dict[Tuple[Tuple[int, Fraction], ...], int] = {}
+        # primitive integer row -> simplex var holding its value
+        self._forms: Dict[Row, int] = {}
         # SAT var -> (simplex var, op, bound)
         self._atom_map: Dict[int, Tuple[int, str, Fraction]] = {}
         # SAT var -> (svar, pos_kind, pos_bound, neg_kind, neg_bound)
@@ -112,20 +112,20 @@ class LraTheory:
     def register_atom(self, sat_var: int, atom: CanonicalAtom) -> None:
         if sat_var in self._atom_map:
             return
-        coeffs, op, bound = atom
-        if len(coeffs) == 1:
-            real_index, coeff = coeffs[0]
-            assert coeff == 1, "canonical atoms are monic"
+        row, op, bound = atom
+        if len(row) == 1:
+            real_index, coeff = row[0]
+            assert coeff == 1, "a one-variable canonical row is (x, 1)"
             svar = self.simplex_var_for_real(real_index)
         else:
-            svar = self._forms.get(coeffs)
+            svar = self._forms.get(row)
             if svar is None:
                 simplex_coeffs = {
-                    self.simplex_var_for_real(ri): c for ri, c in coeffs
+                    self.simplex_var_for_real(ri): c for ri, c in row
                 }
                 svar = self.simplex.new_var()
                 self.simplex.add_row(svar, simplex_coeffs)
-                self._forms[coeffs] = svar
+                self._forms[row] = svar
         self._atom_map[sat_var] = (svar, op, bound)
         bn, bd = bound.numerator, bound.denominator
         self._atoms_on_svar.setdefault(svar, []).append((sat_var, op, bn, bd))

@@ -11,6 +11,8 @@ from scipy.optimize import linprog
 
 from repro.smt import (
     And,
+    Atom,
+    LinExpr,
     Not,
     Or,
     Result,
@@ -82,6 +84,21 @@ class TestArithmeticLayer:
         s.add(eq(x * 3, 1))
         assert s.check() is Result.SAT
         assert s.model().real_value(x) == F(1, 3)
+
+    def test_integer_coefficients(self):
+        # 2x + 3y <= 1 with x >= 1, y >= 0: the int coefficients reach
+        # the simplex as an exact integer row
+        s = Solver()
+        x, y = s.real_var("x"), s.real_var("y")
+        two_x_three_y = LinExpr({x.index: 2, y.index: 3}, F(0))
+        s.add(Atom(two_x_three_y, "<=", F(1)), ge(x, 1), ge(y, 0))
+        assert s.check() is Result.UNSAT
+
+    def test_float_coefficient_rejected(self):
+        s = Solver()
+        x = s.real_var("x")
+        with pytest.raises(TypeError, match="0.5"):
+            s.add(Atom(LinExpr({x.index: 0.5}, F(0)), "<=", F(1)))
 
     def test_strict_via_negation(self):
         s = Solver()
