@@ -90,6 +90,7 @@ _SPAN_COUNTERS = (
     "conflicts",
     "restarts",
     "propagations",
+    "theory_props",
     "pivots",
     "theory_checks",
     "clauses_exported",

@@ -100,6 +100,10 @@ _M_SOLVER_RESTARTS = obs_metrics.counter(
 _M_SOLVER_PROPAGATIONS = obs_metrics.counter(
     "repro_solver_propagations_total", "Unit propagations across all solves"
 )
+_M_SOLVER_THEORY_PROPS = obs_metrics.counter(
+    "repro_solver_theory_props_total",
+    "Literals the LRA theory entailed from row-implied bounds across all solves",
+)
 _M_SOLVER_THEORY_CHECKS = obs_metrics.counter(
     "repro_solver_theory_checks_total", "LRA theory checks across all solves"
 )
@@ -138,6 +142,7 @@ def _record_result_metrics(
         (_M_SOLVER_CONFLICTS, "conflicts"),
         (_M_SOLVER_RESTARTS, "restarts"),
         (_M_SOLVER_PROPAGATIONS, "propagations"),
+        (_M_SOLVER_THEORY_PROPS, "theory_props"),
         (_M_SOLVER_THEORY_CHECKS, "theory_checks"),
         (_M_SOLVER_PIVOTS, "pivots"),
         (_M_SOLVER_REFACTORIZATIONS, "refactorizations"),

@@ -41,7 +41,7 @@ class Result(enum.Enum):
 #: bumped whenever solver internals change in a way that can alter
 #: models, cores or the statistics schema; baked into cache
 #: fingerprints so stale disk entries are recomputed, not reused
-ENGINE_VERSION = 7
+ENGINE_VERSION = 8
 
 DEFAULT_KERNEL = "sparse"
 
@@ -63,15 +63,6 @@ def _resolve_kernel(kernel: Optional[str]) -> str:
     return kernel
 
 
-def _resolve_propagation(flag: Optional[bool]) -> bool:
-    # default OFF: propagation changes the search path, so models (while
-    # still correct) can differ from the reference engine's; the default
-    # configuration stays bit-identical with the pre-overhaul solver
-    if flag is None:
-        return os.environ.get("REPRO_THEORY_PROPAGATION", "0") not in ("", "0")
-    return bool(flag)
-
-
 def _resolve_profile(flag: Optional[bool]) -> bool:
     if flag is None:
         return os.environ.get("REPRO_SMT_PROFILE", "0") not in ("", "0")
@@ -82,16 +73,16 @@ def engine_signature() -> str:
     """Identity of the solver configuration results depend on.
 
     Combines :data:`ENGINE_VERSION` with the environment-resolved
-    kernel and propagation switches and the default search
-    configuration — everything that can change a model or a core for
-    the same input.  Included in cache fingerprints
+    kernel and the default search configuration — everything that can
+    change a model or a core for the same input.  Theory propagation is
+    part of the engine (on for ``sparse``, absent from ``reference``),
+    so the kernel names it.  Included in cache fingerprints
     (:func:`repro.runtime.serialize.spec_fingerprint`); a solve under
     another :class:`SolverConfig` is keyed by its caller (the
     configuration race's backend label).
     """
     kernel = _resolve_kernel(None)
-    prop = "1" if _resolve_propagation(None) else "0"
-    return f"v{ENGINE_VERSION}/kernel={kernel}/prop={prop}/cfg={SolverConfig().token()}"
+    return f"v{ENGINE_VERSION}/kernel={kernel}/cfg={SolverConfig().token()}"
 
 
 class Model:
@@ -125,21 +116,25 @@ class Solver:
 
     ``kernel`` selects the simplex engine — ``"sparse"`` (the
     production :class:`~repro.smt.simplex.Simplex`, the default) or
-    ``"reference"`` (the retained Fraction oracle);
-    ``theory_propagation`` toggles row-implied bound propagation
-    (production kernel only); ``profile`` enables per-phase wall-time
-    attribution in :meth:`statistics`.  Each defaults to the
-    ``REPRO_THEORY_KERNEL`` / ``REPRO_THEORY_PROPAGATION`` /
-    ``REPRO_SMT_PROFILE`` environment variable so existing ``Solver()``
-    call sites pick up a configuration without plumbing.
-    ``sat_config`` is the SAT core's search configuration (default
-    :class:`SolverConfig`), as the configuration race diversifies it.
+    ``"reference"`` (the retained Fraction oracle); ``profile``
+    enables per-phase wall-time attribution in :meth:`statistics`.
+    Each defaults to the ``REPRO_THEORY_KERNEL`` / ``REPRO_SMT_PROFILE``
+    environment variable so existing ``Solver()`` call sites pick up a
+    configuration without plumbing.  ``sat_config`` is the SAT core's
+    search configuration (default :class:`SolverConfig`), as the
+    configuration race diversifies it.
+
+    Row-implied bound propagation is part of every production solve.
+    ``theory_propagation=False`` turns it off for the bit-identity
+    suite, which replays the production kernel against the
+    non-propagating ``reference`` oracle; no caller in the package
+    passes it.
     """
 
     def __init__(
         self,
         kernel: Optional[str] = None,
-        theory_propagation: Optional[bool] = None,
+        theory_propagation: bool = True,
         profile: Optional[bool] = None,
         sat_config: Optional[SolverConfig] = None,
     ) -> None:
@@ -147,7 +142,7 @@ class Solver:
         self._sat.profile = _resolve_profile(profile)
         self._theory = LraTheory(
             kernel=_resolve_kernel(kernel),
-            propagate=_resolve_propagation(theory_propagation),
+            propagate=theory_propagation,
         )
         self._sat.theory = self._theory
         self._lattice_lemmas = 0

@@ -17,18 +17,21 @@ literal               asserted bound
 Two kernels back the listener (see :mod:`repro.smt.simplex`): the
 production :class:`~repro.smt.simplex.Simplex` (``sparse``, the
 default) and the retained :class:`~repro.smt.simplex.ReferenceSimplex`
-Fraction oracle (``reference``).  Both are bit-identical;
-:data:`KERNELS` names the valid selections.
+Fraction oracle (``reference``).  Without propagation both are
+bit-identical; :data:`KERNELS` names the valid selections.
 
 On the production kernel the listener additionally implements *unate
-propagation* (Dutertre & de Moura section 6): after a feasible
-``check()``, rows touched by recently tightened bounds are scanned and
-the bound each row implies on its basic variable is compared against the
-atoms registered on that variable; entailed atom literals are handed
-back to the SAT core as cheap propagations (with the contributing bound
-literals as the reason), turning would-be simplex conflicts into unit
-propagation.  The scan is budgeted per call and driven by the engine's
-``bound_dirty`` set, so quiescent rows cost nothing.
+propagation* (Dutertre & de Moura section 6), and every production
+solve runs it: after a feasible ``check()``, rows touched by recently
+tightened bounds are scanned and the bound each row implies on its
+basic variable is compared against the atoms registered on that
+variable; entailed atom literals are handed back to the SAT core as
+cheap propagations (with the contributing bound literals as the
+reason), turning would-be simplex conflicts into unit propagation.  The
+scan is budgeted per call and driven by the engine's ``bound_dirty``
+set, so quiescent rows cost nothing.  ``propagate=False`` runs the
+search of the ``reference`` kernel, which never propagates; the
+bit-identity suite compares the two kernels that way.
 """
 
 from __future__ import annotations

@@ -110,17 +110,15 @@ class TestObjective2:
 
 
 class TestTheoryPropagation:
-    """REPRO_THEORY_PROPAGATION=1 on the case-study specs: row-implied
-    bounds must fire, and may change the witness but not the verdict."""
+    """Row-implied bounds propagate on the default engine: they must fire
+    on the case-study specs and keep the verdict the MILP backend gives."""
 
     @pytest.mark.parametrize("objective", [attack_objective_1, attack_objective_2])
-    def test_propagation_fires_and_keeps_the_verdict(self, objective, monkeypatch):
-        monkeypatch.setenv("REPRO_THEORY_PROPAGATION", "0")
-        plain = verify_attack(objective())
-        monkeypatch.setenv("REPRO_THEORY_PROPAGATION", "1")
+    def test_propagation_fires_and_keeps_the_verdict(self, objective):
         propagated = verify_attack(objective())
+        milp = verify_attack(objective(), backend="milp")
         assert propagated.statistics["theory_props"] > 0
-        assert propagated.outcome is plain.outcome
+        assert propagated.outcome is milp.outcome
 
 
 class TestSynthesisScenarios:

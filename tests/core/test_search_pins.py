@@ -2,11 +2,11 @@
 
 The encoder's atoms reach the solver as primitive integer rows.  How an
 atom is canonicalized or a row installed must not change which atoms,
-clauses and pivots the search sees, so ``verify_attack``'s outcome,
-search counters and witnesses are pinned here on the Section III-I case
-study and two sweep instances (about 1 s together).  The pure SAT
-core's search is pinned by ``GOLDEN_SEARCH_STATS`` in
-``tests/smt/test_sat_watches.py``.
+clauses, pivots and row-implied propagations the search sees, so
+``verify_attack``'s outcome, search counters and witnesses are pinned
+here on the Section III-I case study and two sweep instances (about
+1 s together).  The pure SAT core's search is pinned by
+``GOLDEN_SEARCH_STATS`` in ``tests/smt/test_sat_watches.py``.
 
 Building an encoding hashes no ``Fraction``: atoms are keyed by their
 integer rows and integer bound parts.
@@ -20,7 +20,14 @@ from repro.analysis.sweeps import spec_for_case
 from repro.core.casestudy import attack_objective_1, attack_objective_2
 from repro.core.verification import UfdiEncoder, verify_attack
 
-COUNTERS = ("conflicts", "decisions", "propagations", "pivots", "theory_checks")
+COUNTERS = (
+    "conflicts",
+    "decisions",
+    "propagations",
+    "pivots",
+    "theory_checks",
+    "theory_props",
+)
 
 SPECS = {
     "objective1-16-7": lambda: attack_objective_1(16, 7),
@@ -36,13 +43,13 @@ SPECS = {
 
 #: outcome and COUNTERS of verify_attack on the default engine
 SEARCH = {
-    "objective1-16-7": ("sat", (39, 155, 4185, 20, 185)),
-    "objective1-15-6": ("unsat", (26, 101, 2929, 13, 119)),
-    "objective2": ("sat", (4, 68, 623, 0, 73)),
-    "objective2-secure46": ("unsat", (2, 1, 143, 0, 3)),
-    "objective2-secure46-topology": ("sat", (7, 95, 673, 2, 103)),
-    "ieee118-state30": ("sat", (6, 1791, 12947, 0, 1798)),
-    "ieee30-state8-budget6": ("unsat", (231, 631, 81092, 358, 750)),
+    "objective1-16-7": ("sat", (23, 77, 5497, 32, 148, 496)),
+    "objective1-15-6": ("unsat", (12, 31, 2305, 14, 60, 231)),
+    "objective2": ("sat", (0, 10, 298, 0, 13, 80)),
+    "objective2-secure46": ("unsat", (2, 1, 264, 0, 4, 64)),
+    "objective2-secure46-topology": ("sat", (2, 17, 352, 2, 28, 87)),
+    "ieee118-state30": ("sat", (0, 231, 3158, 0, 346, 1144)),
+    "ieee30-state8-budget6": ("unsat", (106, 168, 41937, 139, 347, 1797)),
 }
 
 #: the SAT witnesses: (measurement_deltas, state_deltas, excluded_lines)

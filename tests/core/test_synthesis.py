@@ -200,7 +200,7 @@ class TestCoreMinimization:
     def test_strictly_smaller_on_ieee14(self):
         # with a generous budget the selector over-provisions; the UNSAT
         # core must strip at least one unused bus on this instance
-        spec = AttackSpec.default(ieee14(), goal=AttackGoal.states(8))
+        spec = AttackSpec.default(ieee14(), goal=AttackGoal.states(3))
         result = synthesize_architecture(spec, SynthesisSettings(max_secured_buses=4))
         assert result.feasible
         assert len(result.architecture) < len(result.uncored_architecture)

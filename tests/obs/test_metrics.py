@@ -170,6 +170,7 @@ class TestGlobalRegistry:
             "repro_portfolio_config_wins_total",
             "repro_session_events_total",
             "repro_solver_conflicts_total",
+            "repro_solver_theory_props_total",
             "repro_solver_fill_ratio",
             "repro_solver_refactorizations_total",
             "repro_solve_seconds",

@@ -6,6 +6,7 @@ import repro.runtime.executor as executor_module
 from repro.core.spec import AttackGoal, AttackSpec, ResourceLimits
 from repro.core.synthesis import SynthesisSettings, synthesize_architecture
 from repro.grid.cases import ieee14
+from repro.obs.trace import Tracer, get_tracer, set_tracer
 from repro.runtime import (
     ResultCache,
     RuntimeOptions,
@@ -37,6 +38,22 @@ class TestResultMetrics:
         assert stats["rows_nnz"] > 0
         assert fill_gauge.value() == stats["fill_ratio"]
         assert conflict_counter.value() == before + stats["conflicts"]
+
+    def test_theory_props_reach_the_registry_and_the_solve_span(self):
+        props_counter = executor_module._M_SOLVER_THEORY_PROPS
+        before = props_counter.value()
+        previous = set_tracer(Tracer())
+        try:
+            results = verify_many(batch_specs()[:1], RuntimeOptions(jobs=1))
+            spans = get_tracer().finished_spans()
+        finally:
+            set_tracer(previous)
+        props = results[0].statistics["theory_props"]
+        # the default engine propagates row-implied bounds on real grids
+        assert props > 0
+        assert props_counter.value() == before + props
+        solve = next(s for s in spans if s["name"] == "verify.solve")
+        assert solve["attributes"]["theory_props"] == props
 
 
 class TestOptions:

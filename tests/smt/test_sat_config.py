@@ -11,8 +11,9 @@ import random
 
 import pytest
 
+from repro.core.casestudy import attack_objective_1
 from repro.core.spec import AttackSpec
-from repro.core.verification import UfdiEncoder
+from repro.core.verification import UfdiEncoder, verify_attack
 from repro.grid.cases import ieee14
 from repro.smt.sat import (
     SatSolver,
@@ -206,10 +207,26 @@ class TestFacadeResolution:
 
     def test_engine_signature_pins_the_default_config(self, monkeypatch):
         # existing cache entries are keyed by this exact string
-        for name in ("REPRO_THEORY_KERNEL", "REPRO_THEORY_PROPAGATION"):
-            monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv("REPRO_THEORY_KERNEL", raising=False)
         monkeypatch.setenv("REPRO_SAT_CONFIG", "geometric@64x1.5/p1/d0.92/s1")
-        assert engine_signature() == "v7/kernel=sparse/prop=0/cfg=luby@100/p0/d0.95"
+        assert engine_signature() == "v8/kernel=sparse/cfg=luby@100/p0/d0.95"
+
+    def test_environment_does_not_switch_theory_propagation(self, monkeypatch):
+        # the retired REPRO_THEORY_PROPAGATION variable has no reader
+        # left: row-implied bounds propagate in every production solve
+        monkeypatch.delenv("REPRO_THEORY_KERNEL", raising=False)
+        signature = engine_signature()
+        monkeypatch.setenv("REPRO_THEORY_PROPAGATION", "0")
+        result = verify_attack(attack_objective_1(16, 7))
+        assert result.statistics["theory_props"] > 0
+        assert engine_signature() == signature
+
+    def test_reference_signature_claims_no_propagation(self, monkeypatch):
+        # the oracle never propagates, and its signature says nothing else
+        monkeypatch.setenv("REPRO_THEORY_KERNEL", "reference")
+        monkeypatch.setenv("REPRO_THEORY_PROPAGATION", "1")
+        assert engine_signature() == "v8/kernel=reference/cfg=luby@100/p0/d0.95"
+        assert not Solver()._theory.propagation
 
     def test_solver_statistics_expose_config(self):
         solver = Solver(sat_config=SolverConfig(seed=3))
