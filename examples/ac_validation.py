@@ -15,7 +15,7 @@ import numpy as np
 from scipy import stats
 
 from repro import load_case
-from repro.attacks import perfect_knowledge_attack
+from repro.attacks.liu import perfect_knowledge_attack
 from repro.estimation import MeasurementPlan
 from repro.estimation.ac import AcSystem, dc_attack_residual_inflation
 from repro.grid.dcflow import nominal_injections

@@ -110,6 +110,11 @@ def main() -> int:
     try:
         client = ServiceClient(port=port, retries=8, backoff=0.1, timeout=120.0)
         client.wait_until_ready(timeout=60.0)
+        # ready means one live replica; affinity needs every family home
+        deadline = time.monotonic() + 30.0
+        while not all(client.health()["replicas"].values()):
+            assert time.monotonic() < deadline, client.health()
+            time.sleep(0.05)
         health = client.health()
         assert health["role"] == "router", health
         assert len(health["replicas"]) == 3, health

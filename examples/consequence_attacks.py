@@ -20,7 +20,7 @@ Run:  python examples/consequence_attacks.py
 import numpy as np
 
 from repro import AttackGoal, AttackSpec, SynthesisSettings, load_case
-from repro.attacks import fake_congestion_attack, overload_masking_attack
+from repro.attacks.overload import fake_congestion_attack, overload_masking_attack
 from repro.core.synthesis import synthesize_architecture
 from repro.estimation import MeasurementPlan, build_h, build_measurements
 from repro.estimation.baddata import chi_square_test

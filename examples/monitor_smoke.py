@@ -35,12 +35,9 @@ import sys
 import tempfile
 
 from repro.grid.cases import ieee14
-from repro.monitor import (
-    IncidentSink,
-    MonitorConfig,
-    MonitorEngine,
-    resolve_scenario,
-)
+from repro.monitor.engine import MonitorConfig, MonitorEngine
+from repro.monitor.incidents import IncidentSink
+from repro.monitor.scenario import resolve_scenario
 from repro.obs.trace import configure_tracing
 from repro.service.client import ServiceClient
 

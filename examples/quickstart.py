@@ -15,15 +15,11 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro import AttackGoal, AttackSpec, ResourceLimits, load_case, verify_attack
-from repro.attacks import perfect_knowledge_attack
+from repro.attacks.liu import perfect_knowledge_attack
 from repro.core.report import format_verification
-from repro.estimation import (
-    MeasurementPlan,
-    build_h,
-    build_measurements,
-    chi_square_test,
-    wls_estimate,
-)
+from repro.estimation import MeasurementPlan, build_h, build_measurements
+from repro.estimation.baddata import chi_square_test
+from repro.estimation.wls import wls_estimate
 from repro.grid.dcflow import nominal_injections, solve_dc_flow
 
 NOISE_STD = 0.005

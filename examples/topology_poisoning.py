@@ -19,7 +19,7 @@ import numpy as np
 
 from repro import load_case
 from repro.analysis.impact import attack_impact
-from repro.attacks import coordinated_topology_attack
+from repro.attacks.topology_attack import coordinated_topology_attack
 from repro.core.casestudy import attack_objective_2
 from repro.core.report import format_verification
 from repro.core.verification import verify_attack

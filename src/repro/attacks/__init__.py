@@ -7,26 +7,12 @@ constructions of Liu, Ning & Reiter (``a = Hc``), used as baselines and
 as independent ground truth for the SMT model.
 :mod:`repro.attacks.topology_attack` builds numerically coordinated
 topology-poisoning attacks from an operating point.
+
+Only :class:`AttackVector` is re-exported, because the verification
+model returns it; import the numerical constructions from their modules,
+e.g. ``from repro.attacks.liu import perfect_knowledge_attack``.
 """
 
 from repro.attacks.vector import AttackVector
-from repro.attacks.liu import perfect_knowledge_attack, restricted_access_attack
-from repro.attacks.topology_attack import coordinated_topology_attack
-from repro.attacks.ac_attack import AcAttack, ac_perfect_attack
-from repro.attacks.overload import (
-    fake_congestion_attack,
-    flow_shift_attack,
-    overload_masking_attack,
-)
 
-__all__ = [
-    "AcAttack",
-    "AttackVector",
-    "ac_perfect_attack",
-    "coordinated_topology_attack",
-    "fake_congestion_attack",
-    "flow_shift_attack",
-    "overload_masking_attack",
-    "perfect_knowledge_attack",
-    "restricted_access_attack",
-]
+__all__ = ["AttackVector"]

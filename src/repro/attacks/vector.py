@@ -12,11 +12,12 @@ numerical WLS estimator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, FrozenSet, List, Mapping, Optional
 
 from repro.estimation.measurement import MeasurementPlan
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,8 @@ class AttackVector:
         Raises if the attack touches an untaken or secured measurement
         (a secured meter's data-integrity protection defeats injection).
         """
+        import numpy as np
+
         taken = plan.taken_in_order()
         if z.shape != (len(taken),):
             raise ValueError(

@@ -35,7 +35,6 @@ import argparse
 import sys
 from typing import List, NoReturn, Optional
 
-from repro.analysis.security_metrics import security_metrics
 from repro.core.io import load_spec_file, write_spec
 from repro.core.mincost import minimum_attack_cost
 from repro.core.report import format_synthesis, format_verification
@@ -117,7 +116,7 @@ def _runtime_options(args: argparse.Namespace) -> RuntimeOptions:
 def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_non_negative_int,
         default=1,
         help="worker processes for multi-instance runs (0 = all cores)",
     )
@@ -191,7 +190,11 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         return 0
     if len(specs) > 1:
         try:
-            result = synthesize_against_all(specs, settings, jobs=args.jobs)
+            result = synthesize_against_all(
+                specs,
+                settings,
+                jobs=_runtime_options(args).effective_jobs(len(specs)),
+            )
         except ValueError as exc:  # e.g. specs over different grids
             raise InputError(str(exc)) from None
     else:
@@ -223,6 +226,8 @@ def _cmd_mincost(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     if args.specfile is None:
         return _cmd_metrics_registry(args)
+    from repro.analysis.security_metrics import security_metrics
+
     spec = _load_spec(args.specfile)
     report = security_metrics(spec, backend=args.backend, runtime=_runtime_options(args))
     print("state attack costs (smaller = weaker):")
@@ -438,13 +443,10 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     """
     import json as json_mod
 
-    from repro.monitor import (
-        IncidentSink,
-        MonitorConfig,
-        MonitorEngine,
-        ReverifyConfig,
-        resolve_scenario,
-    )
+    from repro.monitor.engine import MonitorConfig, MonitorEngine
+    from repro.monitor.incidents import IncidentSink
+    from repro.monitor.reverify import ReverifyConfig
+    from repro.monitor.scenario import resolve_scenario
     from repro.obs.trace import configure_tracing
 
     if args.trace_file:

@@ -5,36 +5,13 @@ model built from the (possibly poisoned) topology (paper Eq. 2), the
 weighted-least-squares estimator (Eq. 1), the chi-square bad-data test
 and largest-normalized-residual identification, numerical observability
 analysis, and residual-based topology-error detection.
+
+Only the measurement model is re-exported: every verification imports
+it, and it needs no numerical library until it builds an array.  Import
+the numerical estimator from its module, e.g.
+``from repro.estimation.wls import wls_estimate``.
 """
 
 from repro.estimation.measurement import MeasurementPlan, build_h, build_measurements
-from repro.estimation.wls import (
-    StateEstimate,
-    UnobservableSystemError,
-    WlsEstimator,
-    wls_estimate,
-)
-from repro.estimation.baddata import BadDataResult, chi_square_test, largest_normalized_residuals
-from repro.estimation.observability import (
-    ObservabilityReport,
-    analyze_observability,
-    basic_measurement_set,
-    critical_measurements,
-)
 
-__all__ = [
-    "BadDataResult",
-    "MeasurementPlan",
-    "ObservabilityReport",
-    "StateEstimate",
-    "UnobservableSystemError",
-    "WlsEstimator",
-    "analyze_observability",
-    "basic_measurement_set",
-    "build_h",
-    "build_measurements",
-    "chi_square_test",
-    "critical_measurements",
-    "largest_normalized_residuals",
-    "wls_estimate",
-]
+__all__ = ["MeasurementPlan", "build_h", "build_measurements"]

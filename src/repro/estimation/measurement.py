@@ -23,12 +23,13 @@ poisoned) topology mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.grid.dcflow import DcFlowResult
 from repro.grid.model import Grid
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -160,6 +161,8 @@ def build_h(
     estimator does not relate them to any state), matching the topology-
     poisoning semantics of Section III-E.
     """
+    import numpy as np
+
     l, b = grid.num_lines, grid.num_buses
     mapped = set(range(1, l + 1)) if mapped_lines is None else set(mapped_lines)
     plan_rows = sorted(taken) if taken is not None else list(range(1, 2 * l + b + 1))
@@ -205,6 +208,8 @@ def build_measurements(
     ``taken=plan.taken_in_order()``.  Optional Gaussian noise models
     meter error.
     """
+    import numpy as np
+
     values: List[float] = []
     for meas in plan.taken_in_order():
         kind, element = plan.classify(meas)

@@ -9,11 +9,12 @@ poisoning mode of the verification model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.grid.model import Grid
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,8 @@ def susceptance_matrix(
     grid: Grid, line_indices: Optional[Iterable[int]] = None
 ) -> np.ndarray:
     """The full (singular) DC susceptance matrix B."""
+    import numpy as np
+
     b = np.zeros((grid.num_buses, grid.num_buses))
     lines = grid.lines if line_indices is None else [grid.line(i) for i in line_indices]
     for line in lines:
@@ -74,6 +77,8 @@ def solve_dc_flow(
     ``injections`` must sum to (numerically) zero; the reference bus's
     angle is fixed at 0.
     """
+    import numpy as np
+
     p = np.asarray(injections, dtype=float)
     if p.shape != (grid.num_buses,):
         raise ValueError(
@@ -103,6 +108,8 @@ def nominal_injections(grid: Grid, seed: int = 7, magnitude: float = 1.0) -> np.
     is balanced exactly and scaled so the largest injection is
     ``magnitude`` (per unit).
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     p = rng.uniform(0.2, 1.0, size=grid.num_buses)
     generators = rng.choice(

@@ -25,48 +25,8 @@ This package closes that loop on top of the existing stack:
   ``GET /v1/incidents``;
 * :mod:`repro.monitor.engine` — the per-tick loop wiring all of the
   above together (``repro monitor`` in the CLI).
+
+The package re-exports nothing: ``repro serve`` imports
+:mod:`repro.monitor.incidents` alone, without the numerical emulator and
+triggers.
 """
-
-from repro.monitor.emulator import MeasurementEmulator, Tick
-from repro.monitor.engine import MonitorConfig, MonitorEngine, MonitorReport
-from repro.monitor.incidents import Incident, IncidentSink, IncidentStore
-from repro.monitor.reverify import ReverificationBridge, ReverifyConfig
-from repro.monitor.scenario import (
-    Scenario,
-    ScenarioError,
-    ScenarioEvent,
-    builtin_scenario,
-    load_scenario,
-    resolve_scenario,
-)
-from repro.monitor.triggers import (
-    ChiSquareTrigger,
-    ResidualCusumTrigger,
-    StateDriftTrigger,
-    TopologyChangeTrigger,
-    TriggerEvent,
-)
-
-__all__ = [
-    "ChiSquareTrigger",
-    "Incident",
-    "IncidentSink",
-    "IncidentStore",
-    "MeasurementEmulator",
-    "MonitorConfig",
-    "MonitorEngine",
-    "MonitorReport",
-    "ResidualCusumTrigger",
-    "ReverificationBridge",
-    "ReverifyConfig",
-    "Scenario",
-    "ScenarioError",
-    "ScenarioEvent",
-    "StateDriftTrigger",
-    "Tick",
-    "TopologyChangeTrigger",
-    "TriggerEvent",
-    "builtin_scenario",
-    "load_scenario",
-    "resolve_scenario",
-]

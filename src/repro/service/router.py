@@ -115,7 +115,8 @@ _M_FORWARDS = obs_metrics.counter(
 )
 _M_FAILOVERS = obs_metrics.counter(
     "repro_router_failovers_total",
-    "Forwards retried on another replica after a replica failure",
+    "Forwards retried on another replica after a replica failure, and "
+    "submissions answered past a ring owner already marked down",
 )
 
 
@@ -634,12 +635,15 @@ class RouterApp:
                 f"router at max_inflight={self.max_inflight}", 429, "queue_full"
             )
         pinned = self._pinned(query)
+        owner: Optional[str] = None
         if pinned is not None:
             candidates: List[ReplicaEndpoint] = [pinned]
         else:
             key, mode = self._route_key(raw_body)
             self.counters[f"routed_by_{mode}"] += 1
-            candidates = self._candidates(self.ring.preference(key))
+            order = self.ring.preference(key)
+            owner = order[0]
+            candidates = self._candidates(order)
         self.inflight += 1
         try:
             status, payload, replica_id = await self._try_each(
@@ -647,6 +651,11 @@ class RouterApp:
             )
         finally:
             self.inflight -= 1
+        if owner not in (None, candidates[0].replica_id, replica_id):
+            # the owner was already marked down, so the walk passed it
+            # without a failed forward: the same failover, counted once
+            self.counters["failovers"] += 1
+            _M_FAILOVERS.inc()
         if (
             status in (200, 202)
             and isinstance(payload, dict)

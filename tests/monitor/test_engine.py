@@ -14,12 +14,9 @@ from repro.core.spec import AttackGoal, AttackSpec
 from repro.core.synthesis import SynthesisSettings, synthesize_architecture
 from repro.core.verification import verify_attack
 from repro.grid.cases import ieee14
-from repro.monitor import (
-    MonitorConfig,
-    MonitorEngine,
-    ReverifyConfig,
-    resolve_scenario,
-)
+from repro.monitor.engine import MonitorConfig, MonitorEngine
+from repro.monitor.reverify import ReverifyConfig
+from repro.monitor.scenario import resolve_scenario
 from repro.runtime.executor import clear_session_registry, session_registry_stats
 from repro.runtime.serialize import attack_to_payload
 
@@ -175,7 +172,7 @@ class TestIncidentAssembly:
     def test_sink_receives_every_incident(self, tmp_path):
         import json
 
-        from repro.monitor import IncidentSink
+        from repro.monitor.incidents import IncidentSink
 
         grid = ieee14()
         scenario = resolve_scenario("telemetry_spoof", grid, ticks=TICKS)

@@ -205,6 +205,20 @@ class TestFailover:
         assert alive[preference[0]] is False
         assert topology["counters"]["failovers"] >= 1
 
+    def test_owner_already_marked_down_counts_one_failover(self, cluster):
+        router, handles, client = cluster
+        spec = make_spec()
+        preference = router.app.ring.preference(family_fingerprint(spec))
+        # the supervisor's poll saw the owner exit before any forward did
+        handles[preference[0]].request_shutdown()
+        handles[preference[0]].join(timeout=10.0)
+        router.app.replicas[preference[0]].alive = False
+
+        job = client.verify(spec, timeout=60)
+        assert job["replica"] == preference[1]
+        topology = client._request("GET", "/clusterz")
+        assert topology["counters"]["failovers"] == 1
+
     def test_all_replicas_down_is_structured_503(self, cluster):
         router, handles, client = cluster
         for handle in handles.values():

@@ -87,6 +87,34 @@ class TestSynthesize:
         out = capsys.readouterr().out
         assert out.count("secure buses") >= 1
 
+    def test_multi_spec_jobs_zero_pools_all_cores(
+        self, spec_file, secure_spec_file, monkeypatch, capsys
+    ):
+        # --jobs 0 means all cores, as its help says: a worker pool here
+        import os
+
+        from repro.runtime import executor
+
+        pools = []
+
+        class RecordingPool(executor.SpecVerifierPool):
+            def __init__(self, specs, jobs):
+                pools.append(jobs)
+                super().__init__(specs, jobs)
+
+        monkeypatch.setattr(executor, "SpecVerifierPool", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        argv = ["synthesize", spec_file, secure_spec_file, "--budget", "3"]
+        assert main([*argv, "--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert pools == []
+        assert main([*argv, "--jobs", "0"]) == 0
+        assert pools == [2]
+        pooled = capsys.readouterr().out
+        # the same architecture; the first line also carries the runtime
+        assert "secure buses" in serial
+        assert pooled.splitlines()[1:] == serial.splitlines()[1:]
+
     def test_exclude(self, spec_file, capsys):
         rc = main(
             ["synthesize", spec_file, "--budget", "4", "--exclude", "6", "12"]
@@ -241,6 +269,18 @@ class TestInputErrors:
         assert exc.value.code == 3
         assert capsys.readouterr().err == (
             "repro: error: argument --budget: "
+            "expected a non-negative integer, got '-1'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv", [["verify"], ["mincost"], ["synthesize", "--budget", "2"]]
+    )
+    def test_negative_jobs_rejected_by_parser(self, argv, spec_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], spec_file, *argv[1:], "--jobs", "-1"])
+        assert exc.value.code == 3
+        assert capsys.readouterr().err == (
+            "repro: error: argument --jobs: "
             "expected a non-negative integer, got '-1'\n"
         )
 

@@ -1,10 +1,12 @@
 """Cold start: a one-off CLI call imports only what it runs.
 
-scipy (WLS, bad-data detection, MILP), networkx (islanding) and the
-service, monitor and cluster-telemetry stacks load at first use, never
-at ``import repro``.  Every check runs in a fresh interpreter, because in
-this one an earlier test has long since imported all of them.  Only
-module sets are checked, never timings.
+numpy (operating points, the Jacobian, attack replay), scipy (WLS,
+bad-data detection, MILP), networkx (islanding) and the service, monitor
+and cluster-telemetry stacks load at first use, never at ``import
+repro``: a verdict is exact rational reasoning and needs none of them.
+Every check runs in a fresh interpreter, because in this one an earlier
+test has long since imported all of them.  Only module sets are checked,
+never timings.
 """
 
 import json
@@ -14,12 +16,15 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import repro
 
 SRC = Path(repro.__file__).resolve().parents[1]
 SPECS = SRC.parent / "examples" / "specs"
 
 DEFERRED = (
+    "numpy",
     "scipy",
     "networkx",
     "repro.milp",
@@ -86,6 +91,77 @@ def test_cli_commands_load_no_deferred_module():
         "mincost": [0, []],
         "synthesize": [0, []],
     }
+
+
+def test_service_answers_verify_and_synthesize_without_numpy():
+    spec_text = (SPECS / "scenario2.spec").read_text()
+    result = run_fresh(
+        f"""
+        from repro.service.client import ServiceClient
+        from repro.service.http import start_in_thread
+
+        spec_text = {spec_text!r}
+        handle = start_in_thread(port=0)
+        client = ServiceClient(port=handle.port)
+        client.wait_until_ready()
+        verify = client.verify(spec_text=spec_text, timeout=120)
+        synthesize = client.synthesize(spec_text=spec_text, budget=4, timeout=120)
+        handle.request_shutdown()
+        handle.join(timeout=10.0)
+        print(json.dumps({{
+            "verify": verify["result"]["outcome"],
+            "feasible": synthesize["result"]["feasible"],
+            "loaded": loaded("numpy", "scipy", "networkx"),
+        }}))
+        """
+    )
+    assert result == {"verify": "sat", "feasible": True, "loaded": []}
+
+
+# Each numpy call site, run first in a fresh interpreter: SITE_SETUP builds
+# the arguments without numpy, and the site's array must equal the one it
+# returns in this process.  apply_to needs an array, which build_measurements
+# makes first; that case checks that ``vector.py`` binds ``np`` itself.
+SITE_SETUP = """
+from repro.attacks.vector import AttackVector
+from repro.estimation.measurement import MeasurementPlan, build_h, build_measurements
+from repro.grid.cases import load_case
+from repro.grid.dcflow import (
+    DcFlowResult, nominal_injections, solve_dc_flow, susceptance_matrix,
+)
+
+grid = load_case("ieee14")
+plan = MeasurementPlan(grid, secured={1})
+injections = [13.0] + [-1.0] * 13
+flow = DcFlowResult(grid, 1, [0.0] * 14, [k / 10 for k in range(1, 21)], injections)
+"""
+
+NUMPY_SITES = {
+    "build_h": "build_h(grid, taken=plan.taken_in_order(), mapped_lines=range(2, 21))",
+    "build_measurements": "build_measurements(plan, flow, noise_std=0.01, seed=3)",
+    "apply_to": "AttackVector({2: 0.5, 30: -0.25}).apply_to("
+    "build_measurements(plan, flow), plan)",
+    "susceptance_matrix": "susceptance_matrix(grid, line_indices=range(1, 20))",
+    "solve_dc_flow": "solve_dc_flow(grid, injections).line_flows",
+    "nominal_injections": "nominal_injections(grid, seed=5)",
+}
+
+
+@pytest.mark.parametrize("site", sorted(NUMPY_SITES))
+def test_numpy_site_loads_numpy_on_first_call(site):
+    expression = NUMPY_SITES[site]
+    result = run_fresh(
+        SITE_SETUP
+        + f"""
+before = loaded("numpy")
+value = ({expression}).tolist()
+print(json.dumps({{"before": before, "value": value, "after": loaded("numpy")}}))
+"""
+    )
+    namespace: dict = {}
+    exec(SITE_SETUP, namespace)
+    expected = eval(expression, namespace).tolist()
+    assert result == {"before": [], "value": expected, "after": ["numpy"]}
 
 
 def test_chi_square_threshold_loads_scipy_on_first_call():
