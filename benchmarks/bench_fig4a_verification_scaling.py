@@ -34,7 +34,7 @@ def _params():
 @pytest.mark.parametrize("case_name,target", _params())
 def test_fig4a_verification_time(benchmark, case_name, target):
     spec = spec_for_case(case_name, target_bus=target)
-    result = run_once(benchmark, lambda: verify_attack(spec, backend="smt"))
+    result = run_once(benchmark, lambda: verify_attack(spec))
     # full measurement redundancy and an unconstrained attacker: every
     # single-state goal is attackable
     assert result.attack_exists

@@ -22,5 +22,5 @@ DENSITIES = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 @pytest.mark.parametrize("density", DENSITIES, ids=lambda d: f"{int(d*100)}pct")
 def test_fig4b_measurement_density(benchmark, case_name, density):
     spec = spec_for_case(case_name, measurement_fraction=density, seed=42)
-    result = run_once(benchmark, lambda: verify_attack(spec, backend="smt"))
+    result = run_once(benchmark, lambda: verify_attack(spec))
     assert result.attack_exists

@@ -26,7 +26,7 @@ def test_fig4c_resource_limit(benchmark, case_name, limit):
     grid = load_case(case_name)
     target = default_targets(grid, 1)[0]
     spec = spec_for_case(case_name, target_bus=target, max_measurements=limit)
-    result = run_once(benchmark, lambda: verify_attack(spec, backend="smt"))
+    result = run_once(benchmark, lambda: verify_attack(spec))
     # once the budget covers the target's measurement footprint the
     # instance is satisfiable; the footprint for a single-state attack
     # on these systems is well under 12 measurements

@@ -33,12 +33,12 @@ def _spec(case_name, satisfiable):
 @pytest.mark.parametrize("case_name", CASES)
 def test_fig4d_sat_case(benchmark, case_name):
     spec = _spec(case_name, satisfiable=True)
-    result = run_once(benchmark, lambda: verify_attack(spec, backend="smt"))
+    result = run_once(benchmark, lambda: verify_attack(spec))
     assert result.attack_exists
 
 
 @pytest.mark.parametrize("case_name", CASES)
 def test_fig4d_unsat_case(benchmark, case_name):
     spec = _spec(case_name, satisfiable=False)
-    result = run_once(benchmark, lambda: verify_attack(spec, backend="smt"))
+    result = run_once(benchmark, lambda: verify_attack(spec))
     assert not result.attack_exists

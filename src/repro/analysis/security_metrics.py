@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.core.mincost import minimum_attack_cost, state_attack_costs
+from repro.core.mincost import minimum_attack_cost, state_searches
 from repro.core.spec import AttackGoal, AttackSpec
 from repro.core.verification import VerificationSession
 
@@ -42,36 +42,22 @@ class SecurityMetricsReport:
 
 def security_metrics(
     spec: AttackSpec,
-    backend: str = "smt",
     runtime: "Optional[RuntimeOptions]" = None,
 ) -> SecurityMetricsReport:
     """Compute the full metrics report for a grid configuration.
 
-    On the default SMT path one :class:`VerificationSession` carries
-    both the cost pass and the exposure pass — a single grid encoding
-    for the whole report.  ``runtime`` instead routes every probe
-    through the parallel runtime (:func:`repro.runtime.verify_one`):
-    with a cache attached, the exposure pass re-uses the cost pass's
-    probes instead of re-solving.
+    One cheapest-attack search per state
+    (:func:`repro.core.mincost.state_searches`) gives both the state's
+    cost and the witness its exposure counts come from.  By default one
+    :class:`VerificationSession` carries every search — a single grid
+    encoding for the whole report.  ``runtime`` instead routes every
+    probe through the parallel runtime
+    (:func:`repro.runtime.verify_one`).
     """
-    session = (
-        VerificationSession(spec)
-        if backend == "smt" and runtime is None
-        else None
-    )
-    costs = state_attack_costs(
-        spec, backend=backend, runtime=runtime, session=session
-    )
+    searches = state_searches(spec, runtime=runtime)
+    costs = {bus: result.cost for bus, result in searches.items()}
     exposure: Dict[int, int] = {}
-    for bus in spec.grid.buses:
-        if bus == spec.reference_bus or costs.get(bus) is None:
-            continue
-        result = minimum_attack_cost(
-            spec.with_goal(AttackGoal.states(bus)),
-            backend=backend,
-            runtime=runtime,
-            session=session,
-        )
+    for result in searches.values():
         if result.attack is not None:
             for meas in result.attack.altered_measurements:
                 exposure[meas] = exposure.get(meas, 0) + 1
@@ -94,7 +80,6 @@ def security_metrics(
 def bus_criticality(
     spec: AttackSpec,
     buses: Optional[List[int]] = None,
-    backend: str = "smt",
     runtime: "Optional[RuntimeOptions]" = None,
 ) -> Dict[int, Optional[int]]:
     """How much securing one bus raises the grid's minimum attack cost.
@@ -103,7 +88,7 @@ def bus_criticality(
     secured (None meaning all attacks blocked).  Bigger is better; the
     ranking approximates the first pick of the synthesis loop.
 
-    On the default SMT path the per-bus protection is expressed as a
+    On the default path the per-bus protection is expressed as a
     securing *assumption* on one ``symbolic_security`` session instead
     of re-encoding a modified measurement plan per bus: one encoding
     answers the whole ranking.
@@ -111,7 +96,7 @@ def bus_criticality(
     targets = buses if buses is not None else list(spec.grid.buses)
     base_goal = AttackGoal.any()
     out: Dict[int, Optional[int]] = {}
-    if backend == "smt" and runtime is None:
+    if runtime is None:
         base_spec = spec.with_goal(base_goal)
         session = VerificationSession(base_spec, symbolic_security=True)
         for bus in targets:
@@ -122,6 +107,6 @@ def bus_criticality(
         return out
     for bus in targets:
         secured = spec.with_secured_buses([bus]).with_goal(base_goal)
-        result = minimum_attack_cost(secured, backend=backend, runtime=runtime)
+        result = minimum_attack_cost(secured, runtime=runtime)
         out[bus] = result.cost
     return out

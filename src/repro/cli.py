@@ -7,7 +7,7 @@ Drives the full pipeline from spec files in the text format of
 
     $ python -m repro.cli cases
     $ python -m repro.cli template ieee14 > grid.spec
-    $ python -m repro.cli verify grid.spec --backend smt
+    $ python -m repro.cli verify grid.spec --cache-dir ~/.cache/repro
     $ python -m repro.cli synthesize grid.spec --budget 4
     $ python -m repro.cli mincost grid.spec --dimension measurements
     $ python -m repro.cli metrics grid.spec
@@ -102,24 +102,32 @@ def _add_portfolio_flag(parser: argparse.ArgumentParser, text: str) -> None:
 
 def _runtime_options(args: argparse.Namespace) -> RuntimeOptions:
     cache = None
-    if getattr(args, "cache_dir", None):
+    if args.cache_dir:
         cache = ResultCache(directory=args.cache_dir)
     return RuntimeOptions(
         jobs=getattr(args, "jobs", 1),
-        portfolio=getattr(args, "portfolio", False),
-        backend=getattr(args, "backend", "smt"),
+        portfolio=args.portfolio,
         cache=cache,
-        sessions=getattr(args, "sessions", False),
+        sessions=args.sessions,
     )
 
 
-def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
+def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
         type=_non_negative_int,
         default=1,
         help="worker processes for multi-instance runs (0 = all cores)",
     )
+
+
+def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
+    """The per-solve flags :func:`_runtime_options` reads.
+
+    ``--jobs`` is separate: only commands that run several instances
+    (``verify``, ``synthesize`` with several spec files, ``serve``)
+    act on it.
+    """
     _add_portfolio_flag(
         parser,
         "race N diversified SMT configurations per instance with "
@@ -193,7 +201,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
             result = synthesize_against_all(
                 specs,
                 settings,
-                jobs=_runtime_options(args).effective_jobs(len(specs)),
+                jobs=RuntimeOptions(jobs=args.jobs).effective_jobs(len(specs)),
             )
         except ValueError as exc:  # e.g. specs over different grids
             raise InputError(str(exc)) from None
@@ -209,10 +217,7 @@ def _cmd_mincost(args: argparse.Namespace) -> int:
         print("spec has no attack goal; add a 'target' line", file=sys.stderr)
         return 1
     result = minimum_attack_cost(
-        spec,
-        dimension=args.dimension,
-        backend=args.backend,
-        runtime=_runtime_options(args),
+        spec, dimension=args.dimension, runtime=_runtime_options(args)
     )
     if result.cost is None:
         print("goal is infeasible at any budget (no attack exists)")
@@ -229,7 +234,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.analysis.security_metrics import security_metrics
 
     spec = _load_spec(args.specfile)
-    report = security_metrics(spec, backend=args.backend, runtime=_runtime_options(args))
+    report = security_metrics(spec, runtime=_runtime_options(args))
     print("state attack costs (smaller = weaker):")
     for bus in sorted(report.state_costs):
         cost = report.state_costs[bus]
@@ -358,7 +363,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             start = time.perf_counter()
             profiler.enable()
             for _ in range(args.repeat):
-                result = verify_attack(spec, backend=args.backend)
+                result = verify_attack(spec)
             profiler.disable()
             wall = time.perf_counter() - start
     finally:
@@ -417,7 +422,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     rows.sort(key=lambda r: (-r["tottime"], r["function"]))
     report = {
         "spec": args.specfile,
-        "backend": args.backend,
+        "backend": "smt",
         "engine": engine_signature(),
         "repeat": args.repeat,
         "outcome": result.outcome.value,
@@ -581,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify UFDI attack feasibility")
     p.add_argument("specfile", nargs="+", help="one or more spec files (batched)")
-    p.add_argument("--backend", choices=["smt", "milp"], default="smt")
+    _add_jobs_flag(p)
     _add_runtime_flags(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -595,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget", type=_non_negative_int, required=True, help="max secured buses"
     )
-    _add_runtime_flags(p)
+    _add_jobs_flag(p)
     p.add_argument("--exclude", type=int, nargs="*", help="operator-unsecurable buses")
     p.add_argument(
         "--blocking",
@@ -611,7 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mincost", help="minimum attack cost for the spec's goal")
     p.add_argument("specfile")
     p.add_argument("--dimension", choices=["measurements", "buses"], default="measurements")
-    p.add_argument("--backend", choices=["smt", "milp"], default="smt")
     _add_runtime_flags(p)
     p.set_defaults(func=_cmd_mincost)
 
@@ -626,7 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="spec file for security metrics; omit for the registry dump",
     )
-    p.add_argument("--backend", choices=["smt", "milp"], default="smt")
     p.add_argument(
         "--scrape",
         metavar="URL",
@@ -705,7 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify a spec under cProfile and emit a JSON hot-path report",
     )
     p.add_argument("specfile")
-    p.add_argument("--backend", choices=["smt", "milp"], default="smt")
     p.add_argument(
         "--repeat", type=int, default=1, help="verification repetitions to profile"
     )
@@ -823,6 +825,7 @@ def build_parser() -> argparse.ArgumentParser:
         "failures, deadline misses and SLO burns; FILE appends "
         "snapshots as JSONL",
     )
+    _add_jobs_flag(p)
     _add_runtime_flags(p)
     p.set_defaults(func=_cmd_serve)
     return parser

@@ -4,7 +4,7 @@
   knowledge, accessibility, resource limits, goals, topology-poisoning
   capability, all per-grid configuration.
 * :mod:`repro.core.verification` — the formal UFDI attack verification
-  model (Section III, Eqs. 3-26) with SMT and MILP backends.
+  model (Section III, Eqs. 3-26), decided by the bundled SMT engine.
 * :mod:`repro.core.synthesis` — security-architecture synthesis
   (Section IV, Algorithm 1, Eqs. 27-30).
 * :mod:`repro.core.casestudy` — the exact IEEE 14-bus configuration of

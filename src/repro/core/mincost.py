@@ -12,8 +12,9 @@ path every probe is an assumption flip on one warm
 :class:`repro.core.verification.VerificationSession` — the grid is
 encoded exactly once for the whole search and learned clauses carry
 across probes, the optimization loop Z3 users would write with
-``push``/``pop``.  The MILP backend and the parallel runtime fall back
-to one verification run per probe.
+``push``/``pop``.  With a ``runtime`` every probe is instead one
+:func:`repro.runtime.verify_one` call (portfolio racing, result cache,
+the warm-session registry).
 """
 
 from __future__ import annotations
@@ -23,12 +24,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.attacks.vector import AttackVector
-from repro.core.spec import AttackGoal, AttackSpec, ResourceLimits
-from repro.core.verification import (
-    VerificationResult,
-    VerificationSession,
-    verify_attack,
-)
+from repro.core.spec import AttackGoal, AttackSpec
+from repro.core.verification import VerificationResult, VerificationSession
 
 if TYPE_CHECKING:
     from repro.runtime import RuntimeOptions
@@ -53,22 +50,18 @@ def _probe(
     spec: AttackSpec,
     budget: Optional[int],
     dimension: str,
-    backend: str,
-    runtime: "Optional[RuntimeOptions]" = None,
-):
+    runtime: "RuntimeOptions",
+) -> VerificationResult:
+    # route through the parallel runtime: portfolio racing and the
+    # memoizing cache make repeated binary-search probes near-free
+    from repro.runtime import verify_one
+
     limits = spec.limits
     if dimension == "measurements":
         limits = dataclasses.replace(limits, max_measurements=budget)
     else:
         limits = dataclasses.replace(limits, max_buses=budget)
-    probe_spec = spec.with_limits(limits)
-    if runtime is not None:
-        # route through the parallel runtime: portfolio racing and the
-        # memoizing cache make repeated binary-search probes near-free
-        from repro.runtime import verify_one
-
-        return verify_one(probe_spec, dataclasses.replace(runtime, backend=backend))
-    return verify_attack(probe_spec, backend=backend)
+    return verify_one(spec.with_limits(limits), runtime)
 
 
 def attack_cost(attack: AttackVector, dimension: str, spec: AttackSpec) -> int:
@@ -123,7 +116,6 @@ def minimum_attack_cost(
     spec: AttackSpec,
     dimension: str = "measurements",
     upper_bound: Optional[int] = None,
-    backend: str = "smt",
     runtime: "Optional[RuntimeOptions]" = None,
     session: Optional[VerificationSession] = None,
     secured_buses: Sequence[int] = (),
@@ -135,14 +127,13 @@ def minimum_attack_cost(
     so joint questions ("cheapest attack touching at most 3 substations")
     compose naturally.
 
-    The default SMT path (no ``runtime``) runs every probe on one
+    The default path (no ``runtime``) runs every probe on one
     :class:`VerificationSession` — exactly one grid encoding for the
     whole search.  Pass ``session`` to amortize that encoding across
     *multiple* searches of the same spec family (it must be
     :meth:`VerificationSession.compatible` with ``spec``).  With
     ``runtime`` set, every probe instead goes through
-    :func:`repro.runtime.verify_one` (portfolio racing, result cache);
-    ``runtime.backend`` is overridden by ``backend``.
+    :func:`repro.runtime.verify_one` (portfolio racing, result cache).
 
     ``secured_buses`` asks for the cheapest attack that evades extra
     protection on those buses; it requires a session built with
@@ -152,12 +143,12 @@ def minimum_attack_cost(
         raise ValueError("dimension must be 'measurements' or 'buses'")
     if session is not None and not session.compatible(spec):
         raise ValueError("session is not compatible with spec")
-    if session is None and backend == "smt" and runtime is None:
+    if session is None and runtime is None:
         session = VerificationSession(
             spec, symbolic_security=bool(secured_buses)
         )
     if secured_buses and session is None:
-        raise ValueError("secured_buses requires the SMT session path")
+        raise ValueError("secured_buses requires the session path")
     probes = 0
 
     def probe(budget: Optional[int]):
@@ -174,7 +165,7 @@ def minimum_attack_cost(
                 goal=spec.goal,
                 secured_buses=secured_buses,
             )
-        return _probe(spec, budget, dimension, backend, runtime)
+        return _probe(spec, budget, dimension, runtime)
 
     cost, attack = search_min_cost(
         probe, lambda witness: attack_cost(witness, dimension, spec), upper_bound
@@ -183,10 +174,38 @@ def minimum_attack_cost(
     return MinCostResult(cost, attack, probes, encodes)
 
 
+def state_searches(
+    spec: AttackSpec,
+    dimension: str = "measurements",
+    runtime: "Optional[RuntimeOptions]" = None,
+    session: Optional[VerificationSession] = None,
+) -> Dict[int, MinCostResult]:
+    """One cheapest-attack search per state (the reference bus excluded).
+
+    The goal of ``spec`` is replaced by each single state's goal.
+    Without a ``runtime`` one verification session carries every
+    per-state search: the grid is encoded once and each state's probes
+    are goal-assumption flips on the same warm solver.  The default
+    session is opened on the spec's family with its goal cleared, so a
+    spec whose goal has ``distinct`` pairs searches as well.
+    """
+    if session is None and runtime is None:
+        session = VerificationSession(spec.with_goal(AttackGoal.any()))
+    return {
+        bus: minimum_attack_cost(
+            spec.with_goal(AttackGoal.states(bus)),
+            dimension=dimension,
+            runtime=runtime,
+            session=session,
+        )
+        for bus in spec.grid.buses
+        if bus != spec.reference_bus
+    }
+
+
 def state_attack_costs(
     spec: AttackSpec,
     dimension: str = "measurements",
-    backend: str = "smt",
     runtime: "Optional[RuntimeOptions]" = None,
     session: Optional[VerificationSession] = None,
 ) -> Dict[int, Optional[int]]:
@@ -195,24 +214,7 @@ def state_attack_costs(
     A per-bus security metric in the spirit of Vukovic et al. [10]:
     buses whose state can be corrupted with few injections are the
     grid's weak points and the natural first targets for securing.
-
-    On the SMT path one verification session carries every per-state
-    binary search: the grid is encoded once, each state's probes are
-    goal-assumption flips on the same warm solver.
+    It reduces :func:`state_searches` to the costs.
     """
-    if session is None and backend == "smt" and runtime is None:
-        session = VerificationSession(spec)
-    costs: Dict[int, Optional[int]] = {}
-    for bus in spec.grid.buses:
-        if bus == spec.reference_bus:
-            continue
-        goal_spec = spec.with_goal(AttackGoal.states(bus))
-        result = minimum_attack_cost(
-            goal_spec,
-            dimension=dimension,
-            backend=backend,
-            runtime=runtime,
-            session=session,
-        )
-        costs[bus] = result.cost
-    return costs
+    searches = state_searches(spec, dimension, runtime=runtime, session=session)
+    return {bus: result.cost for bus, result in searches.items()}

@@ -2,8 +2,9 @@
 
 Encodes the feasibility of an undetected false data injection attack —
 including topology poisoning — as a QF_LRA constraint system, decided
-either by the bundled SMT solver (:mod:`repro.smt`) or by a mirrored
-MILP (:mod:`repro.milp`).
+by the bundled SMT solver (:mod:`repro.smt`).  The tests cross-check
+its verdicts against a mirrored MILP
+(:func:`repro.milp.backend.verify_milp`).
 
 Constraint inventory (numbers refer to the paper's equations; the OCR
 of Section III-E/F garbles a few, the reconstruction below is validated
@@ -692,44 +693,23 @@ class VerificationSession:
 
 def verify_attack(
     spec: AttackSpec,
-    backend: str = "smt",
     epsilon: Optional[Union[int, float, Fraction]] = None,
     max_conflicts: Optional[int] = None,
 ) -> VerificationResult:
     """Verify whether a UFDI attack satisfying ``spec`` exists.
 
-    ``backend`` is ``"smt"`` (exact, bundled DPLL(T) engine) or
-    ``"milp"`` (big-M mirror on scipy/HiGHS, the cross-validation
-    oracle; subject to big-M scale limits — see
-    :mod:`repro.milp.backend`).
+    Decided by the bundled, exact DPLL(T) engine (:mod:`repro.smt`).
     """
-    tracer = get_tracer()
     start = time.perf_counter()
-    with tracer.span(
+    with get_tracer().span(
         "verify.encode",
-        backend=backend,
+        backend="smt",
         buses=spec.grid.num_buses,
         lines=len(spec.grid.lines),
     ):
         encoder = UfdiEncoder(spec, epsilon=epsilon)
-    if backend == "smt":
-        return encoder.solve(
-            span_attributes={"backend": "smt"},
-            start=start,
-            max_conflicts=max_conflicts,
-        )
-    if backend == "milp":
-        from repro.milp.backend import solve_encoder_milp
-
-        with tracer.span("verify.solve", backend="milp") as span:
-            milp_result = solve_encoder_milp(encoder)
-            span.set(outcome=milp_result.outcome.value)
-        runtime = time.perf_counter() - start
-        return VerificationResult(
-            milp_result.outcome,
-            milp_result.attack,
-            "milp",
-            runtime,
-            milp_result.statistics,
-        )
-    raise ValueError(f"unknown backend {backend!r} (use 'smt' or 'milp')")
+    return encoder.solve(
+        span_attributes={"backend": "smt"},
+        start=start,
+        max_conflicts=max_conflicts,
+    )

@@ -1,5 +1,10 @@
 """Big-M MILP mirror of the SMT encoding, solved with HiGHS.
 
+The tests' independent cross-check of the SMT engine: only tests, the
+backend ablation benchmark and ``examples/scaling_study.py`` call
+:func:`verify_milp`.  It is no production engine; DESIGN.md §2 has its
+timings against the SMT engine.
+
 The mirror consumes the *exact same* formula the SMT solver decides:
 the CNF clauses (boolean structure plus cardinality counters) become
 covering constraints over binaries, and each arithmetic atom variable is
@@ -16,6 +21,7 @@ could be missed.  The SMT backend has no such limit and is the reference.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -25,6 +31,12 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.attacks.vector import AttackVector
+from repro.core.spec import AttackSpec
+from repro.core.verification import (
+    UfdiEncoder,
+    VerificationOutcome,
+    VerificationResult,
+)
 from repro.smt.solver import Model
 
 
@@ -32,9 +44,23 @@ from repro.smt.solver import Model
 class MilpResult:
     """Outcome of a MILP feasibility solve."""
 
-    outcome: "VerificationOutcome"
+    outcome: VerificationOutcome
     attack: Optional[AttackVector]
     statistics: Dict[str, int] = field(default_factory=dict)
+
+
+def verify_milp(spec: AttackSpec) -> VerificationResult:
+    """:func:`repro.core.verification.verify_attack`'s verdict, decided
+    by the MILP mirror of the same encoding (backend ``"milp"``)."""
+    start = time.perf_counter()
+    milp_result = solve_encoder_milp(UfdiEncoder(spec))
+    return VerificationResult(
+        milp_result.outcome,
+        milp_result.attack,
+        "milp",
+        time.perf_counter() - start,
+        milp_result.statistics,
+    )
 
 
 def solve_encoder_milp(
@@ -66,8 +92,6 @@ def solve_encoder_milp(
     mechanism of :meth:`UfdiEncoder.check` (requires an encoder built
     with ``symbolic_security=True``).
     """
-    from repro.core.verification import VerificationOutcome
-
     cnf = encoder.solver._cnf
     num_bin = cnf.num_vars
     num_real = encoder.solver._next_real

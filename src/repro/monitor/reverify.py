@@ -17,8 +17,10 @@ Cost searches run through the warm-session runtime
 family lands on a single cached grid encoding keyed by
 ``family_fingerprint``, so a 6-probe binary search costs one encode.
 When the monitor is pointed at a running service (``client``), probes
-are submitted as high-priority jobs instead — the service's own warm
-registry and ``/statsz`` session counters then show the reuse.
+are submitted as high-priority jobs instead.  Only a service started
+with ``repro serve --sessions`` answers them on one warm encoding (its
+``/statsz`` session counters show the reuse); a default service
+encodes each probe cold, and its result cache answers repeats.
 
 Verdicts attached to incidents are deterministic: outcomes, witnesses,
 costs, probe counts — never wall-clock times — so replayed scenarios
@@ -72,7 +74,6 @@ class ReverifyConfig:
     cost_threshold: int = 8
     synthesis_budget: int = 2
     dimension: str = "measurements"
-    backend: str = "smt"
     job_priority: int = -10
     job_timeout: float = 120.0
 
@@ -102,9 +103,7 @@ class ReverificationBridge:
         # every local probe is an assumption flip on a warm session in
         # the per-process registry, keyed by the topology's family
         # fingerprint — visible in session_registry_stats()
-        self.warm_runtime = RuntimeOptions(
-            jobs=1, backend=self.config.backend, sessions=True
-        )
+        self.warm_runtime = RuntimeOptions(jobs=1, sessions=True)
         self.counters: Dict[str, int] = {
             "stealthy_checks": 0,
             "topology_checks": 0,
@@ -146,9 +145,9 @@ class ReverificationBridge:
             return {
                 "outcome": result.get("outcome", "unknown"),
                 "attack": result.get("attack"),
-                "backend": result.get("backend", self.config.backend),
+                "backend": result.get("backend", "smt"),
             }
-        result = verify_attack(spec, backend=self.config.backend)
+        result = verify_attack(spec)
         return {
             "outcome": result.outcome.value,
             "attack": attack_to_payload(result.attack),
@@ -162,7 +161,6 @@ class ReverificationBridge:
         result = minimum_attack_cost(
             spec,
             dimension=self.config.dimension,
-            backend=self.config.backend,
             runtime=self.warm_runtime,
         )
         self.counters["mincost_probes"] += result.probes
@@ -173,9 +171,9 @@ class ReverificationBridge:
 
         The probe sequence is the local one, so an incident's
         ``probes`` does not depend on where the monitor runs; each
-        probe travels as a high-priority verify job, so the *service's*
-        warm-session registry (``sessions=True`` runtime) answers the
-        whole family on one encoding.
+        probe travels as a high-priority verify job.  A service run
+        with ``--sessions`` answers the whole family on one warm
+        encoding; without it, every probe is a cold encode.
         """
         probes = 0
 
@@ -195,7 +193,7 @@ class ReverificationBridge:
             payload = job.get("result")
             if not payload:  # failed or expired job: no verdict
                 return VerificationResult(
-                    VerificationOutcome.UNKNOWN, None, self.config.backend, 0.0
+                    VerificationOutcome.UNKNOWN, None, "smt", 0.0
                 )
             return result_from_payload(payload)
 

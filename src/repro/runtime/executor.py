@@ -178,7 +178,6 @@ class RuntimeOptions:
     """Knobs for the parallel verification runtime.
 
     ``jobs``          — worker processes; 1 = in-process, 0/None = all cores
-    ``backend``       — ``"smt"`` or ``"milp"`` (ignored under portfolio)
     ``portfolio``     — ``True``/``"configs"``/``"configs:N"`` races N
                         (default 4) diversified SMT configurations per
                         instance with learned-clause exchange; the first
@@ -186,7 +185,7 @@ class RuntimeOptions:
     ``cache``         — optional :class:`ResultCache` for memoization
     ``task_timeout``  — per-instance wall-clock budget in seconds
     ``epsilon``       — forwarded to :func:`verify_attack`
-    ``max_conflicts`` — forwarded to :func:`verify_attack` (smt backend)
+    ``max_conflicts`` — forwarded to :func:`verify_attack`
     ``sessions``      — solve SMT instances on warm per-family
                         :class:`VerificationSession` objects (kept in a
                         small per-process LRU registry keyed by family
@@ -196,7 +195,6 @@ class RuntimeOptions:
     """
 
     jobs: int = 1
-    backend: str = "smt"
     portfolio: Union[bool, str] = False
     cache: Optional[ResultCache] = None
     task_timeout: Optional[float] = None
@@ -221,6 +219,7 @@ class RuntimeOptions:
         return parse_portfolio_mode(self.portfolio)[1]
 
     def backend_label(self) -> str:
+        """``"smt"``, or ``"portfolio-configsN"`` under a race."""
         mode, size = parse_portfolio_mode(self.portfolio)
         if mode:
             # the label participates in cache fingerprints; a config
@@ -228,7 +227,7 @@ class RuntimeOptions:
             # but the determinism contract keeps results equivalent —
             # the size is still baked in so cached entries self-describe
             return f"portfolio-configs{size}"
-        return self.backend
+        return "smt"
 
     def describe(self) -> Dict[str, Any]:
         """JSON-able snapshot of the knobs (for ``/statsz`` and logs)."""
@@ -376,7 +375,6 @@ def _timeout_result(backend: str, elapsed: float) -> VerificationResult:
 
 def _solve_spec(
     spec: AttackSpec,
-    backend: str,
     portfolio: Union[bool, str],
     epsilon: Epsilon,
     max_conflicts: Optional[int],
@@ -391,14 +389,12 @@ def _solve_spec(
                 return race_configs(
                     spec, n=size, epsilon=epsilon, timeout=task_timeout
                 )
-            if sessions and backend == "smt":
+            if sessions:
                 return _solve_on_session(spec, epsilon, max_conflicts)
-            return verify_attack(
-                spec, backend=backend, epsilon=epsilon, max_conflicts=max_conflicts
-            )
+            return verify_attack(spec, epsilon=epsilon, max_conflicts=max_conflicts)
     except _TaskTimeout:
         return _timeout_result(
-            "portfolio" if mode else backend, time.perf_counter() - start
+            "portfolio" if mode else "smt", time.perf_counter() - start
         )
 
 
@@ -418,7 +414,6 @@ def _verify_remote(task: Dict[str, Any]) -> Dict[str, Any]:
     if trace is None:
         result = _solve_spec(
             spec,
-            backend=task["backend"],
             portfolio=task["portfolio"],
             epsilon=epsilon,
             max_conflicts=task["max_conflicts"],
@@ -433,13 +428,10 @@ def _verify_remote(task: Dict[str, Any]) -> Dict[str, Any]:
             "pool.task",
             parent=trace,
             pid=os.getpid(),
-            backend=(
-                "portfolio" if task["portfolio"] else task["backend"]
-            ),
+            backend="portfolio" if task["portfolio"] else "smt",
         ) as span:
             result = _solve_spec(
                 spec,
-                backend=task["backend"],
                 portfolio=task["portfolio"],
                 epsilon=epsilon,
                 max_conflicts=task["max_conflicts"],
@@ -531,7 +523,6 @@ def verify_many(
                 ) as span:
                     result = _solve_spec(
                         specs[i],
-                        backend=options.backend,
                         portfolio=options.portfolio,
                         epsilon=options.epsilon,
                         max_conflicts=options.max_conflicts,
@@ -545,7 +536,6 @@ def verify_many(
             tasks = [
                 {
                     "payload": canonical_json(spec_to_payload(specs[i])),
-                    "backend": options.backend,
                     "portfolio": options.portfolio,
                     "epsilon": (
                         None

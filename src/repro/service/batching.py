@@ -182,7 +182,6 @@ def _verify_job_options(base: RuntimeOptions, payload: Dict[str, Any]) -> Runtim
         portfolio = bool(portfolio)
     return dataclasses.replace(
         base,
-        backend=payload.get("backend") or base.backend,
         portfolio=portfolio,
         epsilon=base.epsilon if epsilon is None else Fraction(str(epsilon)),
     )
@@ -220,7 +219,7 @@ class BatchingScheduler:
     arrives, then takes every job already runnable, up to
     :data:`MAX_BATCH`, without waiting for more; the execute phase runs
     solver work in the event loop's default thread pool executor so
-    HTTP handling never blocks.  Failed attempts (a raising backend, a
+    HTTP handling never blocks.  Failed attempts (a raising solver, a
     dead worker pool) are retried up to each job's ``max_retries``
     before the job goes to ``failed``.
     """

@@ -210,9 +210,9 @@ class ServiceClient:
     ) -> Dict[str, Any]:
         """``POST /v1/verify``; returns the job description (state queued).
 
-        ``fields`` forwards API knobs verbatim: ``backend``,
-        ``portfolio``, ``epsilon``, ``priority``, ``deadline``,
-        ``max_retries``, ``wait``, ``wait_timeout``, ``client``.
+        ``fields`` forwards API knobs verbatim: ``portfolio``,
+        ``epsilon``, ``priority``, ``deadline``, ``max_retries``,
+        ``wait``, ``wait_timeout``, ``client``.
         """
         body = {**_spec_field(spec, spec_text), **fields}
         if self.client_id is not None:

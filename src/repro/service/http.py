@@ -34,8 +34,9 @@ draining server answers new submissions 503 with ``code="draining"``.
 Verify bodies carry either ``"spec"`` (the canonical payload of
 :func:`repro.runtime.serialize.spec_to_payload`) or ``"spec_text"``
 (the paper's text format, :mod:`repro.core.io`), plus optional
-``backend``/``portfolio``/``epsilon``/``priority``/``deadline``/
-``max_retries``; ``"wait": true`` holds the request open until the job
+``portfolio``/``epsilon``/``priority``/``deadline``/``max_retries``; a
+``backend`` field is a 400 (every verify runs the SMT engine);
+``"wait": true`` holds the request open until the job
 is terminal (bounded by ``wait_timeout``).  Synthesize bodies add a
 ``"settings"`` object (``budget`` required).
 
@@ -129,9 +130,6 @@ _REASONS = {
     502: "Bad Gateway",
     503: "Service Unavailable",
 }
-
-_BACKENDS = ("smt", "milp")
-
 
 class RequestError(ValueError):
     """A client error; carries the HTTP status and a stable error code."""
@@ -448,11 +446,12 @@ class ServiceApp:
         self, body: Optional[Dict[str, Any]]
     ) -> Tuple[int, Dict[str, Any]]:
         body = self._check_accepting(body)
+        _require(
+            "backend" not in body,
+            "'backend' is not accepted: every verify runs the SMT engine",
+        )
         spec = _parse_spec_field(body)
         common = _parse_common(body)
-        backend = body.get("backend")
-        if backend is not None:
-            _require(backend in _BACKENDS, f"'backend' must be one of {_BACKENDS}")
         epsilon = body.get("epsilon")
         if epsilon is not None:
             try:
@@ -471,7 +470,6 @@ class ServiceApp:
             portfolio = bool(portfolio)
         payload = {
             "spec": spec_to_payload(spec),
-            "backend": backend,
             "portfolio": portfolio,
             "epsilon": epsilon,
         }

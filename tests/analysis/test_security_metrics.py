@@ -1,11 +1,17 @@
 """Tests for the security metrics module."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.security_metrics import bus_criticality, security_metrics
+from repro.core.io import load_spec_file
+from repro.core.mincost import state_attack_costs
 from repro.core.spec import AttackGoal, AttackSpec
 from repro.grid.cases import ieee14
 from repro.grid.model import Grid, Line
+
+SPEC_DIR = Path(__file__).resolve().parents[2] / "examples" / "specs"
 
 
 def path_spec(n=4):
@@ -52,6 +58,32 @@ class TestSecurityMetrics:
         assert all(c is None for c in report.state_costs.values())
         assert report.grid_attack_cost is None
         assert report.weakest_states == []
+
+    def test_spec_with_distinct_pairs(self):
+        # objective1's goal carries a distinct pair; the per-state
+        # searches drop it, as the runtime=RuntimeOptions() path does
+        spec = load_spec_file(SPEC_DIR / "objective1.spec")
+        assert spec.goal.distinct_pairs
+        expected = {bus: None for bus in spec.grid.buses if bus != spec.reference_bus}
+        expected.update({7: 14, 8: 3, 9: 14, 10: 7, 11: 7, 13: 8, 14: 14})
+        assert state_attack_costs(spec) == expected
+        assert security_metrics(spec).state_costs == expected
+
+    def test_each_state_searched_once(self, monkeypatch):
+        import repro.core.mincost as mincost
+
+        real = mincost.search_min_cost
+        searched = []
+
+        def counting(probe, cost_of, upper_bound=None):
+            searched.append(probe)
+            return real(probe, cost_of, upper_bound)
+
+        monkeypatch.setattr(mincost, "search_min_cost", counting)
+        report = security_metrics(path_spec(4))
+        # one search per state gives both its cost and its witness
+        assert len(searched) == len(report.state_costs) == 3
+        assert report.measurement_exposure
 
 
 class TestBusCriticality:

@@ -20,6 +20,7 @@ from repro.core.casestudy import (
 )
 from repro.core.synthesis import SynthesisSettings, synthesize_architecture
 from repro.core.verification import verify_attack
+from repro.milp.backend import verify_milp
 
 
 class TestConfiguration:
@@ -106,7 +107,7 @@ class TestObjective2:
             (attack_objective_2(True), False),
             (attack_objective_2(True, True), True),
         ]:
-            assert verify_attack(spec, backend="milp").attack_exists is expect
+            assert verify_milp(spec).attack_exists is expect
 
 
 class TestTheoryPropagation:
@@ -116,7 +117,7 @@ class TestTheoryPropagation:
     @pytest.mark.parametrize("objective", [attack_objective_1, attack_objective_2])
     def test_propagation_fires_and_keeps_the_verdict(self, objective):
         propagated = verify_attack(objective())
-        milp = verify_attack(objective(), backend="milp")
+        milp = verify_milp(objective())
         assert propagated.statistics["theory_props"] > 0
         assert propagated.outcome is milp.outcome
 

@@ -17,6 +17,7 @@ from repro.core.spec import AttackGoal, AttackSpec, LineAttributes, ResourceLimi
 from repro.core.verification import verify_attack
 from repro.estimation.measurement import MeasurementPlan
 from repro.grid.model import Grid, Line
+from repro.milp.backend import verify_milp
 
 # path grid: l = 4 lines, b = 5 buses, m = 13 potential measurements
 #   forward flows 1-4, backward flows 5-8, injections 9-13
@@ -147,9 +148,9 @@ class TestBackendsAgreeOnMatrix:
     def test_milp_agrees_on_blocked_cases(self, blocked):
         plan = MeasurementPlan(GRID, secured={blocked})
         spec = make_spec(plan=plan)
-        assert not verify_attack(spec, backend="milp").attack_exists
+        assert not verify_milp(spec).attack_exists
 
     def test_milp_agrees_on_baseline(self):
-        result = verify_attack(make_spec(), backend="milp")
+        result = verify_milp(make_spec())
         assert result.attack_exists
         assert set(result.attack.altered_measurements) == FOOTPRINT

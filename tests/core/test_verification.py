@@ -239,8 +239,8 @@ class TestExtractionConsistency:
 
     def test_unknown_backend_rejected(self):
         spec = AttackSpec.default(ieee14())
-        with pytest.raises(ValueError, match="backend"):
-            verify_attack(spec, backend="quantum")
+        with pytest.raises(TypeError, match="backend"):
+            verify_attack(spec, backend="smt")
 
     def test_max_conflicts_unknown(self):
         spec = AttackSpec.default(

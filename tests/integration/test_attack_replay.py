@@ -18,6 +18,7 @@ from repro.estimation.measurement import MeasurementPlan, build_h, build_measure
 from repro.estimation.wls import wls_estimate
 from repro.grid.cases import ieee14, ieee30
 from repro.grid.dcflow import nominal_injections, solve_dc_flow
+from repro.milp.backend import verify_milp
 
 NOISE = 0.008
 
@@ -88,7 +89,7 @@ class TestConstrainedReplay:
             ieee30(), goal=AttackGoal.states(15),
             limits=ResourceLimits(max_measurements=20),
         )
-        result = verify_attack(spec, backend="milp")
+        result = verify_milp(spec)
         assert result.attack_exists
         clean, attacked, __ = replay(spec, result.attack, scale=0.05)
         assert attacked.objective == pytest.approx(clean.objective, abs=1e-4)

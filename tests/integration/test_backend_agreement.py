@@ -16,6 +16,7 @@ from repro.core.verification import VerificationOutcome, verify_attack
 from repro.estimation.measurement import MeasurementPlan
 from repro.grid.cases import ieee14
 from repro.grid.synthetic import generate_grid
+from repro.milp.backend import verify_milp
 
 
 def random_spec(seed):
@@ -60,8 +61,8 @@ class TestRandomizedAgreement:
     @pytest.mark.parametrize("seed", range(25))
     def test_smt_milp_agree(self, seed):
         spec = random_spec(seed)
-        smt = verify_attack(spec, backend="smt")
-        milp = verify_attack(spec, backend="milp")
+        smt = verify_attack(spec)
+        milp = verify_milp(spec)
         assert smt.outcome == milp.outcome, f"seed {seed}"
         if smt.outcome is VerificationOutcome.ATTACK_EXISTS:
             # both vectors satisfy the same spec-level constraints
@@ -92,6 +93,6 @@ class TestCaseStudyAgreement:
             line_attrs=attrs,
             allow_topology_attack=True,
         )
-        smt = verify_attack(spec, backend="smt")
-        milp = verify_attack(spec, backend="milp")
+        smt = verify_attack(spec)
+        milp = verify_milp(spec)
         assert smt.outcome == milp.outcome

@@ -10,6 +10,7 @@ from repro.estimation.measurement import MeasurementPlan, build_h, build_measure
 from repro.estimation.wls import wls_estimate
 from repro.grid.dcflow import solve_dc_flow
 from repro.grid.model import Grid, Line
+from repro.milp.backend import verify_milp
 
 
 def two_bus():
@@ -122,8 +123,8 @@ class TestRing:
             goal=AttackGoal.states(3),
             limits=ResourceLimits(max_measurements=8),
         )
-        smt = verify_attack(spec, backend="smt")
-        milp = verify_attack(spec, backend="milp")
+        smt = verify_attack(spec)
+        milp = verify_milp(spec)
         assert smt.outcome == milp.outcome
 
 

@@ -4,9 +4,9 @@ import pytest
 
 from repro.core.casestudy import attack_objective_1, attack_objective_2
 from repro.core.spec import AttackGoal, AttackSpec, ResourceLimits
-from repro.core.verification import UfdiEncoder, verify_attack
+from repro.core.verification import UfdiEncoder
 from repro.grid.cases import ieee14
-from repro.milp.backend import solve_encoder_milp
+from repro.milp.backend import solve_encoder_milp, verify_milp
 
 
 class TestAgreementWithSmt:
@@ -28,7 +28,7 @@ class TestAgreementWithSmt:
     )
     def test_casestudy_agreement(self, make_spec, expect_sat):
         spec = make_spec()
-        milp = verify_attack(spec, backend="milp")
+        milp = verify_milp(spec)
         assert milp.attack_exists is expect_sat
 
     def test_extracted_attack_is_exact(self):
@@ -36,7 +36,7 @@ class TestAgreementWithSmt:
         # simplex, so the flow-balance identities hold to rounding
         # wherever all the involved measurements are taken
         spec = attack_objective_2()
-        result = verify_attack(spec, backend="milp")
+        result = verify_milp(spec)
         attack = result.attack
         plan = spec.plan
 
@@ -84,7 +84,7 @@ class TestSymbolicSecurity:
 class TestStatistics:
     def test_statistics_reported(self):
         spec = AttackSpec.default(ieee14(), goal=AttackGoal.states(5))
-        result = verify_attack(spec, backend="milp")
+        result = verify_milp(spec)
         stats = result.statistics
         assert stats["milp_binaries"] > 0
         assert stats["milp_continuous"] > 0
@@ -92,5 +92,5 @@ class TestStatistics:
 
     def test_refinements_counter(self):
         spec = attack_objective_2(True, True)
-        result = verify_attack(spec, backend="milp")
+        result = verify_milp(spec)
         assert result.statistics["milp_refinements"] >= 0

@@ -76,7 +76,7 @@ class TestBatchEquivalence:
             ieee14(),
             goal=AttackGoal.states(*verdict["suspected_buses"]),
         )
-        batch = verify_attack(spec, backend="smt")
+        batch = verify_attack(spec)
         assert verdict["outcome"] == batch.outcome.value
         assert verdict["attack"] == attack_to_payload(batch.attack)
 
@@ -86,7 +86,7 @@ class TestBatchEquivalence:
             ieee14(),
             goal=AttackGoal.states(*verdict["suspected_buses"]),
         )
-        batch = minimum_attack_cost(spec, dimension="measurements", backend="smt")
+        batch = minimum_attack_cost(spec, dimension="measurements")
         assert verdict["min_cost"] == batch.cost
         # probe count is a search metric, not part of the verdict: the
         # live search runs on a warm session whose unconstrained witness
@@ -138,7 +138,6 @@ class TestTopologyShift:
         batch = minimum_attack_cost(
             AttackSpec.default(restricted, goal=AttackGoal.any()),
             dimension="measurements",
-            backend="smt",
         )
         assert verdict["min_cost"] == batch.cost
 

@@ -67,7 +67,7 @@ class TestOptions:
         assert RuntimeOptions(jobs=0).effective_jobs(128) == (os.cpu_count() or 1)
 
     def test_backend_label(self):
-        assert RuntimeOptions(backend="milp").backend_label() == "milp"
+        assert RuntimeOptions().backend_label() == "smt"
         assert RuntimeOptions(portfolio=True).backend_label() == "portfolio-configs4"
 
 
@@ -147,12 +147,16 @@ class TestCacheWiring:
         assert cache.stats.stores == 0
 
     def test_backends_do_not_share_entries(self):
+        # a solo run and a configuration race are different backend
+        # labels, so different fingerprints
         cache = ResultCache()
         spec = AttackSpec.default(ieee14(), goal=AttackGoal.states(9))
-        verify_many([spec], RuntimeOptions(cache=cache, backend="smt"))
-        (milp,) = verify_many([spec], RuntimeOptions(cache=cache, backend="milp"))
-        assert "cache_hit" not in milp.statistics
-        assert milp.backend == "milp"
+        verify_many([spec], RuntimeOptions(cache=cache))
+        (raced,) = verify_many(
+            [spec], RuntimeOptions(cache=cache, portfolio="configs:2")
+        )
+        assert "cache_hit" not in raced.statistics
+        assert cache.stats.stores == 2
 
 
 class TestSynthesizeMany:

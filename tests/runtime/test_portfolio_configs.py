@@ -94,12 +94,12 @@ class TestRaceConfigs:
     def test_verdict_agrees_with_direct_verification(self):
         spec = sat_spec()
         raced = race_configs(spec, n=2)
-        direct = verify_attack(spec, backend="smt")
+        direct = verify_attack(spec)
         assert raced.outcome == direct.outcome
 
     def test_unsat_verdict_agrees_with_direct_verification(self):
         spec = unsat_spec()
-        direct = verify_attack(spec, backend="smt")
+        direct = verify_attack(spec)
         assert direct.outcome is VerificationOutcome.SECURE
         raced = race_configs(spec, n=2)
         assert raced.outcome is VerificationOutcome.SECURE
@@ -108,7 +108,7 @@ class TestRaceConfigs:
     def test_single_config_degenerates_to_solo_solve(self):
         spec = sat_spec()
         result = race_configs(spec, n=1)
-        direct = verify_attack(spec, backend="smt")
+        direct = verify_attack(spec)
         assert result.outcome == direct.outcome
         assert result.attack == direct.attack
         assert result.statistics["portfolio"] == 1

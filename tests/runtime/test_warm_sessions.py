@@ -90,13 +90,6 @@ class TestWarmSessions:
         warm_again = verify_one(spec, RuntimeOptions(cache=cache, sessions=True))
         assert warm_again.statistics.get("cache_hit") == 1
 
-    def test_milp_backend_ignores_sessions_flag(self):
-        pytest.importorskip("scipy")
-        spec = path_spec(4)
-        result = verify_one(spec, RuntimeOptions(backend="milp", sessions=True))
-        assert result.backend == "milp"
-        assert session_registry_stats()["opened"] == 0
-
     def test_registry_eviction_is_lru(self):
         from repro.runtime import executor
 

@@ -2,6 +2,7 @@
 
 import asyncio
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -202,21 +203,33 @@ class TestDedup:
 
         asyncio.run(body())
 
-    def test_per_job_backend_split_into_groups(self):
+    def test_per_job_epsilon_split_into_groups(self, monkeypatch):
+        real = batching_module.verify_many
+        calls = []
+
+        def recording(specs, options, trace_parents=None):
+            calls.append((len(specs), options.epsilon))
+            return real(specs, options, trace_parents=trace_parents)
+
+        monkeypatch.setattr(batching_module, "verify_many", recording)
+
         async def body():
             queue = JobQueue()
             stats = BatchStats()
             scheduler = BatchingScheduler(queue, RuntimeOptions(), stats=stats)
             spec = make_spec()
-            smt = await queue.submit("verify", verify_payload(spec, backend="smt"))
-            milp = await queue.submit("verify", verify_payload(spec, backend="milp"))
-            await run_jobs(scheduler, queue, [smt, milp])
-            assert smt.result["backend"] != milp.result["backend"]
-            assert smt.result["outcome"] == milp.result["outcome"]
-            # different backends are different fingerprints: no dedup
+            default = await queue.submit("verify", verify_payload(spec))
+            tight = await queue.submit(
+                "verify", verify_payload(spec, epsilon="1/1000")
+            )
+            await run_jobs(scheduler, queue, [default, tight])
+            assert default.result["outcome"] == tight.result["outcome"]
+            # different epsilons are different fingerprints: no dedup
             assert stats.solver_calls == 2
 
         asyncio.run(body())
+        # one batch, two option groups: one verify_many call per epsilon
+        assert calls == [(1, None), (1, Fraction(1, 1000))]
 
 
 class TestRetry:

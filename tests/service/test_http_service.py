@@ -87,7 +87,7 @@ class TestValidation:
     def test_missing_spec_is_400(self, server):
         _, client = server
         with pytest.raises(ServiceError) as excinfo:
-            client._request("POST", "/v1/verify", {"backend": "smt"})
+            client._request("POST", "/v1/verify", {"epsilon": "1/100"})
         assert excinfo.value.status == 400
 
     def test_both_spec_fields_is_400(self, server):
@@ -98,11 +98,13 @@ class TestValidation:
             )
         assert excinfo.value.status == 400
 
-    def test_bad_backend_is_400(self, server):
+    @pytest.mark.parametrize("backend", ["smt", "milp", "z3", None])
+    def test_bad_backend_is_400(self, server, backend):
         _, client = server
         with pytest.raises(ServiceError) as excinfo:
-            client.submit_verify(make_spec(), backend="z3")
+            client.submit_verify(make_spec(), backend=backend)
         assert excinfo.value.status == 400
+        assert excinfo.value.payload["code"] == "bad_request"
         assert "backend" in excinfo.value.payload["error"]
 
     def test_malformed_spec_payload_is_400(self, server):

@@ -70,9 +70,6 @@ class TestVerify:
         assert main(["verify", secure_spec_file]) == 0
         assert "unsat" in capsys.readouterr().out
 
-    def test_milp_backend(self, spec_file, capsys):
-        assert main(["verify", spec_file, "--backend", "milp"]) == 2
-
 
 class TestSynthesize:
     def test_feasible(self, spec_file, capsys):
@@ -272,9 +269,7 @@ class TestInputErrors:
             "expected a non-negative integer, got '-1'\n"
         )
 
-    @pytest.mark.parametrize(
-        "argv", [["verify"], ["mincost"], ["synthesize", "--budget", "2"]]
-    )
+    @pytest.mark.parametrize("argv", [["verify"], ["synthesize", "--budget", "2"]])
     def test_negative_jobs_rejected_by_parser(self, argv, spec_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main([argv[0], spec_file, *argv[1:], "--jobs", "-1"])
@@ -302,6 +297,29 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"repro: error: argument --portfolio: {reason} ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["verify"], ["--backend", "milp"]),
+            (["mincost"], ["--backend", "smt"]),
+            (["metrics"], ["--backend", "smt"]),
+            (["profile"], ["--backend", "milp"]),
+            (["mincost"], ["--jobs", "2"]),
+            (["metrics"], ["--jobs", "2"]),
+            (["synthesize", "--budget", "2"], ["--portfolio"]),
+            (["synthesize", "--budget", "2"], ["--cache-dir", "cache"]),
+            (["synthesize", "--budget", "2"], ["--sessions"]),
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, argv, flag, spec_file, capsys):
+        # an unknown flag is a usage error: one line, exit 3
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], spec_file, *argv[1:], *flag])
+        assert exc.value.code == 3
+        assert capsys.readouterr().err == (
+            f"repro: error: unrecognized arguments: {' '.join(flag)}\n"
+        )
 
     def test_zero_budget_still_accepted(self, spec_file, capsys):
         # 0 is a real budget: with no secured bus the attack goes through
