@@ -105,7 +105,7 @@ def _runtime_options(args: argparse.Namespace) -> RuntimeOptions:
     if args.cache_dir:
         cache = ResultCache(directory=args.cache_dir)
     return RuntimeOptions(
-        jobs=getattr(args, "jobs", 1),
+        jobs=args.jobs,
         portfolio=args.portfolio,
         cache=cache,
         sessions=args.sessions,
@@ -124,9 +124,9 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
 def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
     """The per-solve flags :func:`_runtime_options` reads.
 
-    ``--jobs`` is separate: only commands that run several instances
-    (``verify``, ``synthesize`` with several spec files, ``serve``)
-    act on it.
+    Only ``verify`` and ``serve`` take them, with ``--jobs``: a cost
+    search probes one warm session, and ``synthesize`` runs its own
+    loop, so neither acts on a runtime.
     """
     _add_portfolio_flag(
         parser,
@@ -216,9 +216,7 @@ def _cmd_mincost(args: argparse.Namespace) -> int:
     if not (spec.goal.target_states or spec.goal.any_state):
         print("spec has no attack goal; add a 'target' line", file=sys.stderr)
         return 1
-    result = minimum_attack_cost(
-        spec, dimension=args.dimension, runtime=_runtime_options(args)
-    )
+    result = minimum_attack_cost(spec, dimension=args.dimension)
     if result.cost is None:
         print("goal is infeasible at any budget (no attack exists)")
         return 0
@@ -234,7 +232,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.analysis.security_metrics import security_metrics
 
     spec = _load_spec(args.specfile)
-    report = security_metrics(spec, runtime=_runtime_options(args))
+    report = security_metrics(spec)
     print("state attack costs (smaller = weaker):")
     for bus in sorted(report.state_costs):
         cost = report.state_costs[bus]
@@ -442,9 +440,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_monitor(args: argparse.Namespace) -> int:
     """Stream a scenario through the monitor and report incidents.
 
-    Local by default (warm in-process sessions); ``--serve-url`` routes
-    re-verification probes to a running service as high-priority jobs
-    and publishes incidents to its ``/v1/incidents`` store instead.
+    Local by default (one warm session per cost search);
+    ``--serve-url`` routes re-verification probes to a running service
+    as high-priority jobs and publishes incidents to its
+    ``/v1/incidents`` store instead.
     """
     import json as json_mod
 
@@ -616,7 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mincost", help="minimum attack cost for the spec's goal")
     p.add_argument("specfile")
     p.add_argument("--dimension", choices=["measurements", "buses"], default="measurements")
-    _add_runtime_flags(p)
     p.set_defaults(func=_cmd_mincost)
 
     p = sub.add_parser(
@@ -643,7 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
         "/clusterz/metrics (counters summed, histograms re-bucketed, "
         "per-replica series preserved under a replica label)",
     )
-    _add_runtime_flags(p)
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser(

@@ -7,28 +7,25 @@ achieves a goal.  That boundary is exactly where the paper's Figure 4(c)
 curves flatten, and it doubles as a per-state security metric: states
 with expensive cheapest-attacks are well protected.
 
-Implemented as a binary search over the budget.  On the default SMT
-path every probe is an assumption flip on one warm
+Implemented as a binary search over the budget.  Every probe is an
+assumption flip on one warm
 :class:`repro.core.verification.VerificationSession` — the grid is
 encoded exactly once for the whole search and learned clauses carry
 across probes, the optimization loop Z3 users would write with
-``push``/``pop``.  With a ``runtime`` every probe is instead one
-:func:`repro.runtime.verify_one` call (portfolio racing, result cache,
-the warm-session registry).
+``push``/``pop``.  The session builds a budget counter only when a
+probe first binds the searched dimension, sized to that probe
+(O(n*k) clauses, not O(n^2)), so the one path also holds on
+1000-bus grids.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.attacks.vector import AttackVector
 from repro.core.spec import AttackGoal, AttackSpec
 from repro.core.verification import VerificationResult, VerificationSession
-
-if TYPE_CHECKING:
-    from repro.runtime import RuntimeOptions
 
 
 @dataclass(frozen=True)
@@ -43,25 +40,7 @@ class MinCostResult:
     cost: Optional[int]
     attack: Optional[AttackVector]
     probes: int  # number of verification calls spent
-    encodes: Optional[int] = None  # grid encodings (session path only)
-
-
-def _probe(
-    spec: AttackSpec,
-    budget: Optional[int],
-    dimension: str,
-    runtime: "RuntimeOptions",
-) -> VerificationResult:
-    # route through the parallel runtime: portfolio racing and the
-    # memoizing cache make repeated binary-search probes near-free
-    from repro.runtime import verify_one
-
-    limits = spec.limits
-    if dimension == "measurements":
-        limits = dataclasses.replace(limits, max_measurements=budget)
-    else:
-        limits = dataclasses.replace(limits, max_buses=budget)
-    return verify_one(spec.with_limits(limits), runtime)
+    encodes: int  # grid encodings of the session that answered them
 
 
 def attack_cost(attack: AttackVector, dimension: str, spec: AttackSpec) -> int:
@@ -81,7 +60,7 @@ def search_min_cost(
     ``probe(budget)`` answers feasibility at one budget (``None`` =
     unlimited) and ``cost_of`` prices a witness.  Returns ``(cost,
     cheapest witness)``, or ``(None, None)`` when no attack fits.  Any
-    probe source — a warm session, the runtime, a remote service —
+    probe source — a warm session, or a remote service's verify jobs —
     runs the same probe sequence.
     """
     unconstrained = probe(None)
@@ -116,7 +95,6 @@ def minimum_attack_cost(
     spec: AttackSpec,
     dimension: str = "measurements",
     upper_bound: Optional[int] = None,
-    runtime: "Optional[RuntimeOptions]" = None,
     session: Optional[VerificationSession] = None,
     secured_buses: Sequence[int] = (),
 ) -> MinCostResult:
@@ -127,13 +105,10 @@ def minimum_attack_cost(
     so joint questions ("cheapest attack touching at most 3 substations")
     compose naturally.
 
-    The default path (no ``runtime``) runs every probe on one
-    :class:`VerificationSession` — exactly one grid encoding for the
-    whole search.  Pass ``session`` to amortize that encoding across
-    *multiple* searches of the same spec family (it must be
-    :meth:`VerificationSession.compatible` with ``spec``).  With
-    ``runtime`` set, every probe instead goes through
-    :func:`repro.runtime.verify_one` (portfolio racing, result cache).
+    Every probe runs on one :class:`VerificationSession` — exactly one
+    grid encoding for the whole search.  Pass ``session`` to amortize
+    that encoding across *multiple* searches of the same spec family
+    (it must be :meth:`VerificationSession.compatible` with ``spec``).
 
     ``secured_buses`` asks for the cheapest attack that evades extra
     protection on those buses; it requires a session built with
@@ -143,59 +118,52 @@ def minimum_attack_cost(
         raise ValueError("dimension must be 'measurements' or 'buses'")
     if session is not None and not session.compatible(spec):
         raise ValueError("session is not compatible with spec")
-    if session is None and runtime is None:
+    if session is None:
         session = VerificationSession(
             spec, symbolic_security=bool(secured_buses)
         )
-    if secured_buses and session is None:
-        raise ValueError("secured_buses requires the session path")
     probes = 0
 
     def probe(budget: Optional[int]):
         nonlocal probes
         probes += 1
-        if session is not None:
-            if dimension == "measurements":
-                mm, mb = budget, spec.limits.max_buses
-            else:
-                mm, mb = spec.limits.max_measurements, budget
-            return session.probe(
-                max_measurements=mm,
-                max_buses=mb,
-                goal=spec.goal,
-                secured_buses=secured_buses,
-            )
-        return _probe(spec, budget, dimension, runtime)
+        if dimension == "measurements":
+            mm, mb = budget, spec.limits.max_buses
+        else:
+            mm, mb = spec.limits.max_measurements, budget
+        return session.probe(
+            max_measurements=mm,
+            max_buses=mb,
+            goal=spec.goal,
+            secured_buses=secured_buses,
+        )
 
     cost, attack = search_min_cost(
         probe, lambda witness: attack_cost(witness, dimension, spec), upper_bound
     )
-    encodes = session.encodes if session is not None else None
-    return MinCostResult(cost, attack, probes, encodes)
+    return MinCostResult(cost, attack, probes, session.encodes)
 
 
 def state_searches(
     spec: AttackSpec,
     dimension: str = "measurements",
-    runtime: "Optional[RuntimeOptions]" = None,
     session: Optional[VerificationSession] = None,
 ) -> Dict[int, MinCostResult]:
     """One cheapest-attack search per state (the reference bus excluded).
 
-    The goal of ``spec`` is replaced by each single state's goal.
-    Without a ``runtime`` one verification session carries every
-    per-state search: the grid is encoded once and each state's probes
-    are goal-assumption flips on the same warm solver.  The default
-    session is opened on the spec's family with its goal cleared, so a
-    spec whose goal has ``distinct`` pairs searches as well.
+    The goal of ``spec`` is replaced by each single state's goal.  One
+    verification session carries every per-state search: the grid is
+    encoded once and each state's probes are goal-assumption flips on
+    the same warm solver.  The default session is opened on the spec's
+    family with its goal cleared, so a spec whose goal has ``distinct``
+    pairs searches as well.
     """
-    if session is None and runtime is None:
+    if session is None:
         session = VerificationSession(spec.with_goal(AttackGoal.any()))
     return {
         bus: minimum_attack_cost(
             spec.with_goal(AttackGoal.states(bus)),
             dimension=dimension,
-            runtime=runtime,
             session=session,
         )
         for bus in spec.grid.buses
@@ -206,7 +174,6 @@ def state_searches(
 def state_attack_costs(
     spec: AttackSpec,
     dimension: str = "measurements",
-    runtime: "Optional[RuntimeOptions]" = None,
     session: Optional[VerificationSession] = None,
 ) -> Dict[int, Optional[int]]:
     """The cheapest-attack cost for every individual state.
@@ -216,5 +183,5 @@ def state_attack_costs(
     grid's weak points and the natural first targets for securing.
     It reduces :func:`state_searches` to the costs.
     """
-    searches = state_searches(spec, dimension, runtime=runtime, session=session)
+    searches = state_searches(spec, dimension, session=session)
     return {bus: result.cost for bus, result in searches.items()}

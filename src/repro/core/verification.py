@@ -63,6 +63,7 @@ from repro.smt import (
     And,
     BoolVar,
     FALSE,
+    IncrementalAtMost,
     LinExpr,
     Not,
     Or,
@@ -138,11 +139,13 @@ class UfdiEncoder:
     push/pop usage of the paper's Z3 implementation.
 
     With ``symbolic_budgets=True`` the resource limits (Eqs. 22, 24)
-    are *not* hard-encoded; instead assumption-selectable totalizer
-    counters over ``cz``/``cb`` are built, and :meth:`check` enforces
-    the spec's limits — or per-call overrides — as assumption literals.
-    A budget change is then an assumption flip on a warm solver rather
-    than a re-encode.
+    are *not* hard-encoded; instead :meth:`check` enforces the spec's
+    limits — or per-call overrides — as assumption literals of
+    totalizer counters over ``cz``/``cb``.  The first check that binds
+    a dimension at budget ``k`` builds its counter, truncated at
+    ``2*(k+1)`` outputs; a later budget past that cap replaces it with
+    a larger one.  A budget change is then an assumption flip on a
+    warm solver rather than a re-encode.
 
     With ``symbolic_goal=True`` the goal (Eqs. 25) is likewise left
     out of the static encoding (pairwise-distinct requirements, Eq. 26,
@@ -181,8 +184,11 @@ class UfdiEncoder:
         self.sz: Dict[int, BoolVar] = {}
         self.lines: Dict[int, _LineEncoding] = {}
         self.bus_delta: Dict[int, LinExpr] = {}
-        self.cz_budget = None  # IncrementalAtMost over cz (symbolic mode)
-        self.cb_budget = None  # IncrementalAtMost over cb (symbolic mode)
+        # the current counter over cz / cb (symbolic mode; built on demand)
+        self.budget_counters: Dict[str, Optional[IncrementalAtMost]] = {
+            "cz": None,
+            "cb": None,
+        }
         self.any_goal: Optional[BoolVar] = None  # gate for "any state moves"
         self.encodes = 1  # grid re-encodings this encoder performed
         self._encode()
@@ -268,13 +274,8 @@ class UfdiEncoder:
             s.add(implies(cz, cb))
 
         # -- resource limits (Eqs. 22, 24) ------------------------------
-        if self.symbolic_budgets:
-            # assumption-selectable counters: any budget, no re-encode
-            if self.cz:
-                self.cz_budget = s.at_most_selector(list(self.cz.values()))
-            if self.cb:
-                self.cb_budget = s.at_most_selector(list(self.cb.values()))
-        else:
+        # symbolic budgets are counters built by the checks that bind them
+        if not self.symbolic_budgets:
             if spec.limits.max_measurements is not None and self.cz:
                 s.add_at_most(list(self.cz.values()), spec.limits.max_measurements)
             if spec.limits.max_buses is not None and self.cb:
@@ -421,12 +422,8 @@ class UfdiEncoder:
             mm = self.spec.limits.max_measurements if max_measurements is _UNSET \
                 else max_measurements
             mb = self.spec.limits.max_buses if max_buses is _UNSET else max_buses
-            if mm is not None and self.cz_budget is not None:
-                lit = self.cz_budget.at_most(mm)
-                if lit is not None:
-                    assumptions.append(lit)
-            if mb is not None and self.cb_budget is not None:
-                lit = self.cb_budget.at_most(mb)
+            for name, k in (("cz", mm), ("cb", mb)):
+                lit = None if k is None else self._budget_literal(name, k)
                 if lit is not None:
                     assumptions.append(lit)
         elif max_measurements is not _UNSET or max_buses is not _UNSET:
@@ -450,6 +447,29 @@ class UfdiEncoder:
                     if j not in active.target_states:
                         assumptions.append(Not(cx))
         return self.solver.check(assumptions, max_conflicts=max_conflicts)
+
+    def _budget_literal(self, name: str, k: int) -> Optional[int]:
+        """The assumption enforcing ``sum(name) <= k`` (None: no bind).
+
+        Builds the dimension's counter on the first binding budget, and
+        replaces it with a larger one once ``k`` reaches its cap.  An
+        outgrown counter's clauses stay in the solver: they only force
+        outputs upward, so every learned clause remains valid.
+        """
+        if k < 0:
+            raise ValueError("k must be nonnegative")
+        variables = self.cz if name == "cz" else self.cb
+        if k >= len(variables):
+            return None
+        counter = self.budget_counters[name]
+        if counter is None or k >= counter.cap:
+            # a cost search's first binding probe is the midpoint below
+            # a witness's cost, so twice it covers every later probe
+            counter = self.solver.at_most_selector(
+                list(variables.values()), cap=2 * (k + 1)
+            )
+            self.budget_counters[name] = counter
+        return counter.at_most(k)
 
     def solve(
         self,
@@ -522,10 +542,12 @@ class UfdiEncoder:
         assumptions — i.e. the infeasibility would lift with a looser
         budget, as opposed to being structural.
         """
-        selector_lits = set()
-        for budget in (self.cz_budget, self.cb_budget):
-            if budget is not None:
-                selector_lits.update(-lit for lit in budget.outputs)
+        selector_lits = {
+            -lit
+            for counter in self.budget_counters.values()
+            if counter is not None
+            for lit in counter.outputs
+        }
         return any(
             isinstance(item, int) and item in selector_lits
             for item in self.solver.unsat_core()
@@ -642,7 +664,6 @@ class VerificationSession:
         goal: Optional[AttackGoal] = None,
         secured_buses: Sequence[int] = (),
         secured_measurements: Sequence[int] = (),
-        max_conflicts: Optional[int] = None,
     ) -> VerificationResult:
         """One incremental feasibility probe; semantics of
         :func:`verify_attack` on the matching concrete spec."""
@@ -651,7 +672,6 @@ class VerificationSession:
             span_attributes={"probes": self.probes + 1},
             secured_buses=secured_buses,
             secured_measurements=secured_measurements,
-            max_conflicts=max_conflicts,
             max_measurements=max_measurements,
             max_buses=max_buses,
             goal=goal,
@@ -662,7 +682,7 @@ class VerificationSession:
         result.statistics["session_probes"] = self.probes
         return result
 
-    def probe_spec(self, spec: AttackSpec, **kwargs) -> VerificationResult:
+    def probe_spec(self, spec: AttackSpec) -> VerificationResult:
         """Probe a concrete same-family spec: its limits and goal become
         the assumptions of one incremental check."""
         if not self.compatible(spec):
@@ -671,7 +691,6 @@ class VerificationSession:
             max_measurements=spec.limits.max_measurements,
             max_buses=spec.limits.max_buses,
             goal=spec.goal,
-            **kwargs,
         )
 
     # pass-throughs so analytics layers need not reach into the encoder

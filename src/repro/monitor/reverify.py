@@ -12,15 +12,14 @@ the paper's exact model two standing questions:
    threshold?  (Chu/Zhang/Kosut/Sankar, arXiv:1903.07781: outages can
    make previously expensive attacks cheap.)
 
-Cost searches run through the warm-session runtime
-(``RuntimeOptions(sessions=True)``): every probe of one topology
-family lands on a single cached grid encoding keyed by
-``family_fingerprint``, so a 6-probe binary search costs one encode.
-When the monitor is pointed at a running service (``client``), probes
-are submitted as high-priority jobs instead.  Only a service started
-with ``repro serve --sessions`` answers them on one warm encoding (its
-``/statsz`` session counters show the reuse); a default service
-encodes each probe cold, and its result cache answers repeats.
+Each local cost search is one :func:`minimum_attack_cost` call: its
+probes are assumption flips on one warm session, so a 6-probe binary
+search costs one encode.  When the monitor is pointed at a running
+service (``client``), probes are submitted as high-priority jobs
+instead.  Only a service started with ``repro serve --sessions``
+answers them on one warm encoding (its ``/statsz`` session counters
+show the reuse); a default service encodes each probe cold, and its
+result cache answers repeats.
 
 Verdicts attached to incidents are deterministic: outcomes, witnesses,
 costs, probe counts — never wall-clock times — so replayed scenarios
@@ -48,7 +47,6 @@ from repro.core.verification import (
 )
 from repro.grid.model import Grid
 from repro.obs.trace import get_tracer
-from repro.runtime import RuntimeOptions
 from repro.runtime.serialize import attack_to_payload, result_from_payload
 
 if TYPE_CHECKING:
@@ -100,10 +98,6 @@ class ReverificationBridge:
         self.reference_bus = reference_bus
         self.config = config or ReverifyConfig()
         self.client = client
-        # every local probe is an assumption flip on a warm session in
-        # the per-process registry, keyed by the topology's family
-        # fingerprint — visible in session_registry_stats()
-        self.warm_runtime = RuntimeOptions(jobs=1, sessions=True)
         self.counters: Dict[str, int] = {
             "stealthy_checks": 0,
             "topology_checks": 0,
@@ -158,11 +152,7 @@ class ReverificationBridge:
         """``(cost, probes)`` for the cheapest attack reaching the goal."""
         if self.client is not None:
             return self._min_cost_remote(spec)
-        result = minimum_attack_cost(
-            spec,
-            dimension=self.config.dimension,
-            runtime=self.warm_runtime,
-        )
+        result = minimum_attack_cost(spec, dimension=self.config.dimension)
         self.counters["mincost_probes"] += result.probes
         return result.cost, result.probes
 

@@ -185,7 +185,6 @@ class RuntimeOptions:
     ``cache``         — optional :class:`ResultCache` for memoization
     ``task_timeout``  — per-instance wall-clock budget in seconds
     ``epsilon``       — forwarded to :func:`verify_attack`
-    ``max_conflicts`` — forwarded to :func:`verify_attack`
     ``sessions``      — solve SMT instances on warm per-family
                         :class:`VerificationSession` objects (kept in a
                         small per-process LRU registry keyed by family
@@ -199,7 +198,6 @@ class RuntimeOptions:
     cache: Optional[ResultCache] = None
     task_timeout: Optional[float] = None
     epsilon: Epsilon = None
-    max_conflicts: Optional[int] = None
     sessions: bool = False
 
     def __post_init__(self) -> None:
@@ -239,7 +237,6 @@ class RuntimeOptions:
             "task_timeout": self.task_timeout,
             "task_timeouts_enforced": HAS_TASK_TIMEOUTS,
             "epsilon": None if self.epsilon is None else str(self.epsilon),
-            "max_conflicts": self.max_conflicts,
             "cache": self.cache is not None,
             "sessions": self.sessions,
         }
@@ -289,9 +286,7 @@ def clear_session_registry() -> None:
             _session_stats[key] = 0
 
 
-def _solve_on_session(
-    spec: AttackSpec, epsilon: Epsilon, max_conflicts: Optional[int]
-) -> VerificationResult:
+def _solve_on_session(spec: AttackSpec, epsilon: Epsilon) -> VerificationResult:
     """Answer one spec as a probe on its family's warm session.
 
     The registry key is the family fingerprint (grid/plan/etc. minus
@@ -322,7 +317,7 @@ def _solve_on_session(
         _session_stats["probes"] += 1
         _M_SESSION_EVENTS.inc(event="probe")
         try:
-            return session.probe_spec(spec, max_conflicts=max_conflicts)
+            return session.probe_spec(spec)
         except BaseException:
             # an interrupted probe (e.g. a task timeout) can leave the
             # warm solver mid-search; drop the session rather than risk
@@ -377,7 +372,6 @@ def _solve_spec(
     spec: AttackSpec,
     portfolio: Union[bool, str],
     epsilon: Epsilon,
-    max_conflicts: Optional[int],
     task_timeout: Optional[float],
     sessions: bool = False,
 ) -> VerificationResult:
@@ -390,8 +384,8 @@ def _solve_spec(
                     spec, n=size, epsilon=epsilon, timeout=task_timeout
                 )
             if sessions:
-                return _solve_on_session(spec, epsilon, max_conflicts)
-            return verify_attack(spec, epsilon=epsilon, max_conflicts=max_conflicts)
+                return _solve_on_session(spec, epsilon)
+            return verify_attack(spec, epsilon=epsilon)
     except _TaskTimeout:
         return _timeout_result(
             "portfolio" if mode else "smt", time.perf_counter() - start
@@ -416,7 +410,6 @@ def _verify_remote(task: Dict[str, Any]) -> Dict[str, Any]:
             spec,
             portfolio=task["portfolio"],
             epsilon=epsilon,
-            max_conflicts=task["max_conflicts"],
             task_timeout=task["timeout"],
             sessions=task.get("sessions", False),
         )
@@ -434,7 +427,6 @@ def _verify_remote(task: Dict[str, Any]) -> Dict[str, Any]:
                 spec,
                 portfolio=task["portfolio"],
                 epsilon=epsilon,
-                max_conflicts=task["max_conflicts"],
                 task_timeout=task["timeout"],
                 sessions=task.get("sessions", False),
             )
@@ -525,7 +517,6 @@ def verify_many(
                         specs[i],
                         portfolio=options.portfolio,
                         epsilon=options.epsilon,
-                        max_conflicts=options.max_conflicts,
                         task_timeout=options.task_timeout,
                         sessions=options.sessions,
                     )
@@ -542,7 +533,6 @@ def verify_many(
                         if options.epsilon is None
                         else str(Fraction(options.epsilon))
                     ),
-                    "max_conflicts": options.max_conflicts,
                     "timeout": options.task_timeout,
                     "sessions": options.sessions,
                     "trace": _parent(i) if tracer.enabled else None,

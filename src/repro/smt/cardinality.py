@@ -10,10 +10,12 @@ solver's CNF or a standalone SAT instance:
   clauses and is arc-consistent under unit propagation.  A budget
   change requires a re-encode.
 * **Assumption-selectable** totalizer (:class:`IncrementalAtMost`):
-  encodes the full unary count once (O(n^2) clauses); every threshold
-  ``sum(lits) <= k`` is then a single *assumption literal*, so a budget
-  sweep or binary search re-uses one encoding — and one incremental
-  solver with all its learned clauses — across every probe.
+  encodes the unary count up to a cap once (O(n*cap) clauses); every
+  threshold ``sum(lits) <= k`` below the cap is then a single
+  *assumption literal*, so a budget sweep or binary search re-uses one
+  encoding — and one incremental solver with all its learned clauses —
+  across every probe.  A threshold at or past the cap needs a larger
+  counter, built alongside on the same solver.
 """
 
 from __future__ import annotations
@@ -95,23 +97,25 @@ def _merge_counts(
     right: List[int],
     new_var: Callable[[], int],
     add_clause: Callable[[List[int]], None],
+    cap: int,
 ) -> List[int]:
     """Totalizer merge: unary counts of two child nodes into their union.
 
     ``left[i-1]`` / ``right[j-1]`` mean "at least i / j inputs of that
     child are true"; the output ``out[m-1]`` means "at least m inputs of
-    the union are true".  Only the upward direction (inputs force
-    outputs) is emitted, which is exactly what ``<= k`` selection via
-    the negated output needs.
+    the union are true", for ``m <= cap``.  Only the upward direction
+    (inputs force outputs) is emitted, which is exactly what ``<= k``
+    selection via the negated output needs, and only for ``i + j <=
+    cap``: a child count past the cap still forces every kept output.
     """
     p, q = len(left), len(right)
-    out = [new_var() for _ in range(p + q)]
+    out = [new_var() for _ in range(min(p + q, cap))]
     for i in range(1, p + 1):
         add_clause([-left[i - 1], out[i - 1]])
     for j in range(1, q + 1):
         add_clause([-right[j - 1], out[j - 1]])
-    for i in range(1, p + 1):
-        for j in range(1, q + 1):
+    for i in range(1, min(p, cap - 1) + 1):
+        for j in range(1, min(q, cap - i) + 1):
             add_clause([-left[i - 1], -right[j - 1], out[i + j - 1]])
     return out
 
@@ -120,20 +124,25 @@ def encode_totalizer(
     lits: Sequence[int],
     new_var: Callable[[], int],
     add_clause: Callable[[List[int]], None],
+    cap: Optional[int] = None,
 ) -> List[int]:
-    """Encode the unary count of ``lits``; return the count outputs.
+    """Encode the unary count of ``lits`` up to ``cap``; return the outputs.
 
-    The returned list ``outputs`` has one literal per input;
-    ``outputs[j-1]`` is forced true whenever at least ``j`` of ``lits``
-    are true.  Assuming ``-outputs[k]`` therefore enforces
-    ``sum(lits) <= k``.  A balanced merge tree keeps the auxiliary
-    variable count at O(n log n) and the clause count at O(n^2).
+    The returned list ``outputs`` has ``min(len(lits), cap)`` literals
+    (``cap`` None: one per input); ``outputs[j-1]`` is forced true
+    whenever at least ``j`` of ``lits`` are true.  Assuming
+    ``-outputs[k]`` therefore enforces ``sum(lits) <= k`` for every ``k
+    < len(outputs)``.  A balanced merge tree keeps the auxiliary
+    variable count at O(n log n) and the clause count at O(n*cap).
     """
+    cap = len(lits) if cap is None else cap
     nodes: List[List[int]] = [[lit] for lit in lits]
     while len(nodes) > 1:
         merged: List[List[int]] = []
         for i in range(0, len(nodes) - 1, 2):
-            merged.append(_merge_counts(nodes[i], nodes[i + 1], new_var, add_clause))
+            merged.append(
+                _merge_counts(nodes[i], nodes[i + 1], new_var, add_clause, cap)
+            )
         if len(nodes) % 2:
             merged.append(nodes[-1])
         nodes = merged
@@ -141,15 +150,16 @@ def encode_totalizer(
 
 
 class IncrementalAtMost:
-    """``sum(lits) <= k`` for *any* ``k``, selected by assumption.
+    """``sum(lits) <= k`` for any ``k`` below a cap, selected by assumption.
 
-    Encodes the totalizer count once; :meth:`at_most` maps a budget to
-    the assumption literal that enforces it (or None when the budget
-    does not bind).  Because thresholds are assumptions rather than
-    clauses, a solver can answer a whole budget sweep on one encoding,
-    and an UNSAT answer's failed-assumption core tells the caller
-    whether the budget — as opposed to the rest of the formula — caused
-    the infeasibility.
+    Encodes the totalizer count once, truncated at ``cap`` outputs
+    (default: none dropped); :meth:`at_most` maps a budget to the
+    assumption literal that enforces it (or None when the budget does
+    not bind).  Because thresholds are assumptions rather than clauses,
+    a solver can answer a whole budget sweep on one encoding, and an
+    UNSAT answer's failed-assumption core tells the caller whether the
+    budget — as opposed to the rest of the formula — caused the
+    infeasibility.
     """
 
     def __init__(
@@ -157,14 +167,22 @@ class IncrementalAtMost:
         lits: Sequence[int],
         new_var: Callable[[], int],
         add_clause: Callable[[List[int]], None],
+        cap: Optional[int] = None,
     ) -> None:
         self.size = len(lits)
-        self.outputs = encode_totalizer(lits, new_var, add_clause)
+        self.cap = self.size if cap is None else min(self.size, cap)
+        self.outputs = encode_totalizer(lits, new_var, add_clause, self.cap)
 
     def at_most(self, k: int) -> Optional[int]:
-        """The assumption literal for ``sum <= k`` (None: trivially true)."""
+        """The assumption literal for ``sum <= k`` (None: trivially true).
+
+        Raises ValueError for ``cap <= k < size``: the truncated count
+        has no output that could enforce that budget.
+        """
         if k < 0:
             raise ValueError("k must be nonnegative")
         if k >= self.size:
             return None
+        if k >= self.cap:
+            raise ValueError(f"k={k} is past this counter's cap of {self.cap}")
         return -self.outputs[k]

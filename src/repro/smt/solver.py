@@ -41,7 +41,7 @@ class Result(enum.Enum):
 #: bumped whenever solver internals change in a way that can alter
 #: models, cores or the statistics schema; baked into cache
 #: fingerprints so stale disk entries are recomputed, not reused
-ENGINE_VERSION = 8
+ENGINE_VERSION = 9
 
 DEFAULT_KERNEL = "sparse"
 
@@ -321,18 +321,24 @@ class Solver:
         )
         self._invalidate()
 
-    def at_most_selector(self, variables: Sequence[BoolVar]) -> IncrementalAtMost:
+    def at_most_selector(
+        self, variables: Sequence[BoolVar], cap: Optional[int] = None
+    ) -> IncrementalAtMost:
         """Encode an assumption-selectable ``sum(variables) <= k`` once.
 
         The returned selector's :meth:`~IncrementalAtMost.at_most` maps
-        any budget ``k`` to a raw assumption literal accepted by
-        :meth:`check` — changing a budget is an assumption flip, not a
-        re-encode, so one incremental solver answers a whole budget
-        sweep with its learned clauses intact.
+        any budget ``k`` below ``cap`` (default: every budget) to a raw
+        assumption literal accepted by :meth:`check` — changing a budget
+        is an assumption flip, not a re-encode, so one incremental
+        solver answers a whole budget sweep with its learned clauses
+        intact.
         """
         lits = [self._cnf.literal_for(v) for v in variables]
         selector = IncrementalAtMost(
-            lits, self._new_sat_var, lambda c: self._cnf.add_clause(self._guarded(c))
+            lits,
+            self._new_sat_var,
+            lambda c: self._cnf.add_clause(self._guarded(c)),
+            cap,
         )
         self._invalidate()
         return selector

@@ -5,10 +5,9 @@ import pytest
 from repro.analysis.sweeps import spec_for_case
 from repro.core.mincost import minimum_attack_cost, state_attack_costs
 from repro.core.spec import AttackGoal, AttackSpec, ResourceLimits
-from repro.core.verification import verify_attack
+from repro.core.verification import UfdiEncoder, VerificationSession, verify_attack
 from repro.grid.cases import ieee14, load_case
 from repro.grid.model import Grid, Line
-from repro.runtime import RuntimeOptions
 
 
 def path_spec(n=4, target=None):
@@ -128,18 +127,19 @@ class TestMinimumCost:
 
 
 class TestLargeGrid:
-    def test_synthetic1000_leaf_bus_costs_two(self):
+    def test_synthetic1000_leaf_bus_costs_two(self, grid_encodes):
         # a leaf's state is felt by one line, so the bus-dimension search
-        # stays small at 1000 buses; jobs=1 runs every probe cold through
-        # the runtime, covering the encode-per-probe path on a large grid
+        # stays small at 1000 buses; its one session builds a bus counter
+        # sized to the probed budget, not an O(n^2) totalizer
         grid = load_case("synthetic1000")
         target = min(bus for bus in grid.buses if len(grid.lines_at(bus)) == 1)
-        result = minimum_attack_cost(
-            spec_for_case("synthetic1000", target_bus=target),
-            dimension="buses",
-            runtime=RuntimeOptions(jobs=1),
-        )
+        spec = spec_for_case("synthetic1000", target_bus=target)
+        session = VerificationSession(spec)
+        result = minimum_attack_cost(spec, dimension="buses", session=session)
         assert (result.cost, result.probes) == (2, 2)
+        assert grid_encodes() == 1
+        cold_clauses = UfdiEncoder(spec).statistics()["clauses"]
+        assert session.statistics()["clauses"] < 2 * cold_clauses
 
 
 class TestStateCosts:

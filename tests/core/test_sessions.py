@@ -151,3 +151,57 @@ class TestEncoderModes:
         if not result.attack_exists:
             core = session.core_secured_buses()
             assert set(core) <= set(secured)
+
+
+class TestSizedBudgetCounters:
+    def test_no_counter_until_a_probe_binds_a_budget(self):
+        spec = AttackSpec.default(ieee14(), goal=AttackGoal.states(8))
+        session = VerificationSession(spec)
+        counters = session.encoder.budget_counters
+        assert counters == {"cz": None, "cb": None}
+        session.probe()  # unlimited
+        session.probe(max_measurements=len(session.encoder.cz))  # cannot bind
+        assert counters == {"cz": None, "cb": None}
+        assert not session.probe(max_measurements=1).attack_exists
+        assert counters["cz"].cap == 4  # 2 * (1 + 1)
+        assert counters["cb"] is None
+
+    def test_bus_dimension_search_builds_no_measurement_counter(
+        self, grid_encodes
+    ):
+        from repro.core.mincost import minimum_attack_cost
+
+        spec = AttackSpec.default(ieee14(), goal=AttackGoal.states(8))
+        session = VerificationSession(spec)
+        result = minimum_attack_cost(spec, dimension="buses", session=session)
+        assert result.cost is not None and grid_encodes() == 1
+        assert session.encoder.budget_counters["cz"] is None
+        assert session.encoder.budget_counters["cb"] is not None
+
+    def test_probe_past_the_cap_builds_a_new_counter(self, grid_encodes):
+        # state 8 of ieee14 needs 4 measurements: a counter built at
+        # budget 0 (cap 2) cannot express budget 3, so a larger one
+        # replaces it, and the UNSAT core on its selector still counts
+        spec = AttackSpec.default(ieee14(), goal=AttackGoal.states(8))
+        session = VerificationSession(spec)
+        counters = session.encoder.budget_counters
+        assert not session.probe(max_measurements=0).attack_exists
+        assert counters["cz"].cap == 2
+        assert not session.probe(max_measurements=3).attack_exists
+        counter = counters["cz"]
+        assert counter.cap == 8
+        assert counter.at_most(3) in session.encoder.solver.unsat_core()
+        assert session.core_uses_budget()
+        # budgets under the old cap now use the larger counter too
+        assert not session.probe(max_measurements=1).attack_exists
+        assert counters["cz"] is counter
+        assert session.probe(max_measurements=4).attack_exists
+        assert grid_encodes() == 1
+
+    @pytest.mark.parametrize("budget", ["max_measurements", "max_buses"])
+    def test_negative_budget_is_rejected(self, budget):
+        spec = AttackSpec.default(ieee14(), goal=AttackGoal.states(8))
+        session = VerificationSession(spec)
+        with pytest.raises(ValueError, match="nonnegative"):
+            session.probe(**{budget: -1})
+        assert session.encoder.budget_counters == {"cz": None, "cb": None}

@@ -17,18 +17,14 @@ from repro.grid.cases import ieee14
 from repro.monitor.engine import MonitorConfig, MonitorEngine
 from repro.monitor.reverify import ReverifyConfig
 from repro.monitor.scenario import resolve_scenario
-from repro.runtime.executor import clear_session_registry, session_registry_stats
 from repro.runtime.serialize import attack_to_payload
 
 TICKS = 80
 
 
 def run_monitor(scenario_name, ticks=TICKS, seed=7, **reverify_kwargs):
-    # a fresh run means a fresh process in production; clearing the
-    # warm-session registry models that, and is what makes replay
-    # bit-identical (a reused incremental solver may return a different
-    # attack witness, changing the binary-search probe count)
-    clear_session_registry()
+    # every cost search opens its own session, so repeated runs in one
+    # process replay bit-identically
     grid = ieee14()
     scenario = resolve_scenario(scenario_name, grid, ticks=ticks)
     config = MonitorConfig(
@@ -111,7 +107,20 @@ class TestBatchEquivalence:
 
 
 class TestTopologyShift:
-    def test_outage_triggers_post_outage_reverification(self):
+    def test_outage_triggers_post_outage_reverification(
+        self, monkeypatch, grid_encodes
+    ):
+        import repro.monitor.reverify as reverify
+
+        searches = []  # (grid encodings, probes) of each cost search
+
+        def recording_search(spec, **kwargs):
+            before = grid_encodes()
+            result = minimum_attack_cost(spec, **kwargs)
+            searches.append((grid_encodes() - before, result.probes))
+            return result
+
+        monkeypatch.setattr(reverify, "minimum_attack_cost", recording_search)
         engine, report = run_monitor("line_outage")
         shifts = [i for i in report.incidents if i.kind == "vulnerability_shift"]
         assert len(shifts) == 1
@@ -122,11 +131,11 @@ class TestTopologyShift:
         assert set(verdict["in_service_lines"]) < set(
             range(1, ieee14().num_lines + 1)
         )
-        # warm sessions answered the cost searches: the registry saw
-        # one encode per topology family and probe reuse on each
-        stats = session_registry_stats()
-        assert stats["opened"] >= 2  # full topology + post-outage family
-        assert stats["reused"] > 0
+        # each cost search ran on one warm session: one encode, however
+        # many probes (full topology baseline + post-outage family)
+        assert len(searches) >= 2
+        assert [encodes for encodes, _ in searches] == [1] * len(searches)
+        assert any(probes > 1 for _, probes in searches)
 
     def test_post_outage_cost_matches_batch_on_restricted_grid(self):
         engine, report = run_monitor("line_outage")

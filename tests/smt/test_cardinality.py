@@ -85,7 +85,7 @@ def test_hypothesis_at_most_counts(n, k):
 # ----------------------------------------------------------------------
 # assumption-selectable totalizer
 # ----------------------------------------------------------------------
-def totalizer_instance(n):
+def totalizer_instance(n, cap=None):
     """A solver holding the totalizer over vars 1..n; returns (solver, counter)."""
     solver = SatSolver()
     solver.ensure_vars(n)
@@ -96,7 +96,9 @@ def totalizer_instance(n):
         solver.ensure_vars(aux["next"])
         return aux["next"]
 
-    counter = IncrementalAtMost(list(range(1, n + 1)), new_var, solver.add_clause)
+    counter = IncrementalAtMost(
+        list(range(1, n + 1)), new_var, solver.add_clause, cap
+    )
     return solver, counter
 
 
@@ -151,6 +153,53 @@ class TestTotalizer:
         assert counter.size == 0
         assert counter.outputs == []
         assert counter.at_most(0) is None
+
+
+SIZED = [(n, cap) for n in range(1, 7) for cap in range(1, n + 1)]
+
+
+class TestSizedTotalizer:
+    @pytest.mark.parametrize("n,cap", SIZED)
+    def test_thresholds_below_the_cap_are_exact(self, n, cap):
+        # a counter truncated at `cap` outputs must still admit exactly
+        # the assignments of weight <= k for every k below the cap
+        solver, counter = totalizer_instance(n, cap)
+        assert len(counter.outputs) == counter.cap == cap
+        for k in range(cap):
+            expected = comb_sum(n, 0, k)
+            assert count_models_under_threshold(solver, counter, n, k) == expected
+
+    @pytest.mark.parametrize("n,cap", SIZED)
+    def test_thresholds_past_the_cap_raise(self, n, cap):
+        # no output of the truncated count can enforce these budgets
+        _, counter = totalizer_instance(n, cap)
+        for k in range(cap, n):
+            with pytest.raises(ValueError, match="cap"):
+                counter.at_most(k)
+        assert counter.at_most(n) is None
+
+    def test_cap_above_size_keeps_every_output(self):
+        _, counter = totalizer_instance(4, cap=10)
+        assert counter.cap == 4
+        assert len(counter.outputs) == 4
+
+    def test_clauses_grow_with_the_cap_not_the_square(self):
+        def clauses(n, cap):
+            count = {"n": 0}
+            aux = {"next": n}
+
+            def new_var():
+                aux["next"] += 1
+                return aux["next"]
+
+            def add_clause(clause):
+                count["n"] += 1
+
+            encode_totalizer(list(range(1, n + 1)), new_var, add_clause, cap)
+            return count["n"]
+
+        assert clauses(256, 4) <= 2 * 256 * 4
+        assert clauses(256, 4) < clauses(256, None) / 10
 
 
 @settings(max_examples=30, deadline=None)

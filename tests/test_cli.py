@@ -1,11 +1,15 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
 from repro.core.io import save_spec_file, write_spec
 from repro.core.spec import AttackGoal, AttackSpec, ResourceLimits
 from repro.grid.cases import ieee14
+
+EXAMPLE_SPECS = Path(__file__).resolve().parent.parent / "examples" / "specs"
 
 
 @pytest.fixture
@@ -140,41 +144,25 @@ class TestMincost:
         assert main(["mincost", str(path)]) == 1
 
 
-class TestRuntimeFlagWiring:
-    def test_mincost_accepts_runtime_flags(self, spec_file, tmp_path, capsys):
-        cache_dir = tmp_path / "cache"
-        assert (
-            main(["mincost", spec_file, "--cache-dir", str(cache_dir)]) == 0
-        )
-        assert "minimum measurements budget: 7" in capsys.readouterr().out
-        # probes were memoized through the runtime cache
-        assert list(cache_dir.glob("*.json"))
+class TestMetrics:
+    def test_exposure_table_matches_the_library(self, capsys):
+        # the CLI and the library take one probe path, so they count
+        # exposure over the same per-state witnesses
+        from repro.analysis.security_metrics import security_metrics
+        from repro.core.io import load_spec_file
 
-    def test_mincost_cached_rerun_matches(self, spec_file, tmp_path, capsys):
-        cache_dir = str(tmp_path / "cache")
-        assert main(["mincost", spec_file, "--cache-dir", cache_dir]) == 0
-        first = capsys.readouterr().out
-        assert main(["mincost", spec_file, "--cache-dir", cache_dir]) == 0
-        second = capsys.readouterr().out
-        assert first.splitlines()[0] == second.splitlines()[0]
-
-    def test_mincost_portfolio(self, spec_file, capsys):
-        assert main(["mincost", spec_file, "--portfolio"]) == 0
-        assert "minimum measurements budget: 7" in capsys.readouterr().out
-
-    def test_metrics_accepts_runtime_flags(self, spec_file, tmp_path, capsys):
-        assert (
-            main(
-                [
-                    "metrics",
-                    spec_file,
-                    "--cache-dir",
-                    str(tmp_path / "cache"),
-                ]
-            )
-            == 0
-        )
-        assert "state attack costs" in capsys.readouterr().out
+        path = EXAMPLE_SPECS / "objective2_topology.spec"
+        assert main(["metrics", str(path)]) == 0
+        out = capsys.readouterr().out
+        printed = out.split("most exposed measurements (top 10):\n")[1]
+        spec = load_spec_file(str(path))
+        report = security_metrics(spec)
+        top = sorted(report.measurement_exposure.items(), key=lambda kv: -kv[1])
+        rendered = [
+            f"  {spec.plan.describe(meas):<40s} in {count} minimal attacks"
+            for meas, count in top[:10]
+        ]
+        assert printed.splitlines() == rendered
 
 
 class TestProfile:
@@ -307,6 +295,13 @@ class TestInputErrors:
             (["profile"], ["--backend", "milp"]),
             (["mincost"], ["--jobs", "2"]),
             (["metrics"], ["--jobs", "2"]),
+            # a cost search always probes one warm session
+            (["mincost"], ["--portfolio"]),
+            (["mincost"], ["--cache-dir", "cache"]),
+            (["mincost"], ["--sessions"]),
+            (["metrics"], ["--portfolio"]),
+            (["metrics"], ["--cache-dir", "cache"]),
+            (["metrics"], ["--sessions"]),
             (["synthesize", "--budget", "2"], ["--portfolio"]),
             (["synthesize", "--budget", "2"], ["--cache-dir", "cache"]),
             (["synthesize", "--budget", "2"], ["--sessions"]),
