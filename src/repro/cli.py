@@ -80,6 +80,12 @@ def _non_negative_int(text: str) -> int:
     return int(text)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _portfolio_mode(text: str) -> str:
     try:
         parse_portfolio_mode(text)
@@ -125,8 +131,8 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
     """The per-solve flags :func:`_runtime_options` reads.
 
     Only ``verify`` and ``serve`` take them, with ``--jobs``: a cost
-    search probes one warm session, and ``synthesize`` runs its own
-    loop, so neither acts on a runtime.
+    search probes one warm session, and ``synthesize`` runs Algorithm 1
+    in-process on warm verifiers, so neither acts on a runtime.
     """
     _add_portfolio_flag(
         parser,
@@ -186,27 +192,26 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         blocking=args.blocking,
         neighbor_pruning=not args.no_pruning,
     )
+    if args.enumerate and len(specs) > 1:
+        raise InputError("--enumerate supports a single spec file")
+    try:
+        if args.enumerate:
+            architectures = enumerate_architectures(
+                specs[0], settings, limit=args.enumerate
+            )
+        elif len(specs) > 1:
+            result = synthesize_against_all(specs, settings)
+        else:
+            result = synthesize_architecture(specs[0], settings)
+    except ValueError as exc:  # specs over different grids, an unknown bus
+        raise InputError(str(exc)) from None
     if args.enumerate:
-        if len(specs) > 1:
-            raise InputError("--enumerate supports a single spec file")
-        architectures = enumerate_architectures(specs[0], settings, limit=args.enumerate)
         if not architectures:
             print("no architecture within the budget resists the attack model")
             return 1
         for arch in architectures:
             print(f"secure buses {arch}")
         return 0
-    if len(specs) > 1:
-        try:
-            result = synthesize_against_all(
-                specs,
-                settings,
-                jobs=RuntimeOptions(jobs=args.jobs).effective_jobs(len(specs)),
-            )
-        except ValueError as exc:  # e.g. specs over different grids
-            raise InputError(str(exc)) from None
-    else:
-        result = synthesize_architecture(specs[0], settings)
     print(format_synthesis(result, specs[0]))
     return 0 if result.feasible else 1
 
@@ -599,7 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget", type=_non_negative_int, required=True, help="max secured buses"
     )
-    _add_jobs_flag(p)
     p.add_argument("--exclude", type=int, nargs="*", help="operator-unsecurable buses")
     p.add_argument(
         "--blocking",
@@ -608,7 +612,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--no-pruning", action="store_true", help="disable Eq. 30 pruning")
     p.add_argument(
-        "--enumerate", type=int, metavar="K", help="list up to K minimal architectures"
+        "--enumerate",
+        type=_positive_int,
+        metavar="K",
+        help="list up to K minimal architectures",
     )
     p.set_defaults(func=_cmd_synthesize)
 

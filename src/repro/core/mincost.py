@@ -40,7 +40,6 @@ class MinCostResult:
     cost: Optional[int]
     attack: Optional[AttackVector]
     probes: int  # number of verification calls spent
-    encodes: int  # grid encodings of the session that answered them
 
 
 def attack_cost(attack: AttackVector, dimension: str, spec: AttackSpec) -> int:
@@ -141,7 +140,7 @@ def minimum_attack_cost(
     cost, attack = search_min_cost(
         probe, lambda witness: attack_cost(witness, dimension, spec), upper_bound
     )
-    return MinCostResult(cost, attack, probes, session.encodes)
+    return MinCostResult(cost, attack, probes)
 
 
 def state_searches(

@@ -22,19 +22,24 @@ The verification model is built once with symbolic security variables
 (Eq. 28 wired inside) and re-checked under assumptions, mirroring the
 push/pop usage of the paper's Z3 implementation.
 
-A successful candidate is additionally *core-minimized* (on by
-default): the UNSAT proof's failed-assumption core names the secured
-buses the proof actually used, and — because assumption-based UNSAT is
-monotone in the assumption set — that subset is itself a valid
-architecture.  The minimized set is re-verified before being returned,
-and in the enumeration loop it sharpens the superset-blocking clause.
+One loop serves single-spec synthesis, synthesis against a list of
+specs and the enumeration of alternative architectures.  A successful
+candidate is additionally *core-minimized* (on by default): the UNSAT
+proof's failed-assumption core names the secured buses the proof
+actually used, and — because assumption-based UNSAT is monotone in the
+assumption set — that subset is itself a valid architecture.  The
+minimized set is re-verified before being returned.  A core is only as
+small as the proof the search happens to find, so the enumeration
+also drops bus by bus what still blocks without it, which makes its
+answers subset-minimal.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set
+from itertools import islice
+from typing import Iterator, List, Optional, Sequence
 
 from repro.attacks.vector import AttackVector
 from repro.core.spec import AttackSpec
@@ -80,7 +85,9 @@ class SynthesisResult:
 
     When core minimization ran, ``uncored_architecture`` holds the raw
     candidate the selection model produced; ``architecture`` is then its
-    (never larger, re-verified) core-minimized subset.
+    (never larger, re-verified) core-minimized subset.  That is minimal
+    only as far as the proofs' cores reach: a bus a proof used may still
+    be droppable (:func:`enumerate_architectures` drops such buses).
     """
 
     architecture: Optional[List[int]]  # secured buses (or measurements)
@@ -94,10 +101,21 @@ class SynthesisResult:
         return self.architecture is not None
 
 
+def check_excluded_buses(spec: AttackSpec, settings: SynthesisSettings) -> None:
+    """Raise ``ValueError`` unless every excluded bus is a bus of the grid."""
+    unknown = set(settings.excluded_buses) - set(spec.grid.buses)
+    if unknown:
+        raise ValueError(
+            f"excluded buses {sorted(unknown)} are not buses of the "
+            f"grid (1..{spec.grid.num_buses})"
+        )
+
+
 def _candidate_model(
     spec: AttackSpec, settings: SynthesisSettings
 ) -> tuple[Solver, dict]:
     """Build the candidate security architecture selection model."""
+    check_excluded_buses(spec, settings)
     solver = Solver()
     sb = {j: solver.bool_var(f"sb_{j}") for j in spec.grid.buses}
     solver.add_at_most(list(sb.values()), settings.max_secured_buses)  # Eq. 27
@@ -115,32 +133,89 @@ def _candidate_model(
     return solver, sb
 
 
-def _core_minimize(
-    verifier: UfdiEncoder, candidate: Sequence[int], measurements: bool = False
-) -> List[int]:
-    """Shrink an UNSAT candidate to the items its proof actually used.
+def _algorithm_1(
+    specs: Sequence[AttackSpec],
+    settings: SynthesisSettings,
+    collect_counterexamples: bool,
+    subset_minimal: bool = False,
+) -> Iterator[SynthesisResult]:
+    """Algorithm 1 against every spec in ``specs``, one answer at a time.
 
-    The failed-assumption core is a subset of the candidate, and UNSAT
-    under assumptions is monotone (adding assumptions back cannot make
-    the formula satisfiable), so the core is itself a blocking
-    architecture.  The shrunken set is re-verified before being trusted;
-    on the (theoretically impossible) chance the re-check does not come
-    back UNSAT, the full candidate is returned unchanged.
+    Each candidate is checked on every spec's warm verifier, and the
+    lowest-indexed SAT spec's attack blocks it.  A candidate that blocks
+    every spec is shrunk to the union of its proofs' cores when that
+    union re-verifies (``core_minimize``) and, with ``subset_minimal``,
+    then bus by bus, and yielded; resuming blocks it and its supersets.
+    Once no candidate is left, an infeasible result is yielded last.
+    The generator also stops after the empty architecture, and at
+    ``max_iterations`` without a result.
     """
-    core = (
-        verifier.core_secured_measurements()
-        if measurements
-        else verifier.core_secured_buses()
-    )
-    if len(core) >= len(candidate):
-        return sorted(candidate)
-    if measurements:
-        recheck = verifier.check(secured_measurements=core)
-    else:
-        recheck = verifier.check(secured_buses=core)
-    if recheck is Result.UNSAT:
-        return core
-    return sorted(candidate)
+    start = time.perf_counter()
+    selector, sb = _candidate_model(specs[0], settings)
+    verifiers = [UfdiEncoder(spec, symbolic_security=True) for spec in specs]
+
+    def check_all(candidate: List[int]) -> List[Result]:
+        return [verifier.check(secured_buses=candidate) for verifier in verifiers]
+
+    counterexamples: List[AttackVector] = []
+    iterations = 0
+    while iterations < settings.max_iterations:
+        iterations += 1
+        if selector.check() is not Result.SAT:
+            yield SynthesisResult(
+                None, iterations, time.perf_counter() - start, counterexamples
+            )
+            return
+        model = selector.model()
+        candidate = sorted(j for j, var in sb.items() if model.value(var))
+        outcomes = check_all(candidate)
+        failed = next(
+            (i for i, outcome in enumerate(outcomes) if outcome is Result.SAT), None
+        )
+        if failed is not None:
+            attack = verifiers[failed].extract_attack()
+            if collect_counterexamples:
+                counterexamples.append(attack)
+            _block_candidate(selector, sb, specs[failed], settings, candidate, attack)
+            continue
+        if any(outcome is not Result.UNSAT for outcome in outcomes):
+            raise SynthesisError("verification returned UNKNOWN")
+        architecture, uncored = candidate, None
+        if settings.core_minimize:
+            # Every spec's proof used only its own core, so (monotonicity)
+            # the union of the cores blocks every spec once re-verified.
+            uncored = candidate
+            union = sorted({j for v in verifiers for j in v.core_secured_buses()})
+            if len(union) < len(candidate) and all(
+                outcome is Result.UNSAT for outcome in check_all(union)
+            ):
+                architecture = union
+        if subset_minimal:
+            for bus in list(architecture):
+                trial = [j for j in architecture if j != bus]
+                if all(
+                    verifier.check(secured_buses=trial) is Result.UNSAT
+                    for verifier in verifiers
+                ):
+                    architecture = trial
+        yield SynthesisResult(
+            architecture,
+            iterations,
+            time.perf_counter() - start,
+            counterexamples,
+            uncored_architecture=uncored,
+        )
+        if not architecture:
+            return  # the empty architecture works; nothing else is minimal
+        selector.add(Or(*[Not(sb[j]) for j in architecture]))
+
+
+def _conclusion(
+    loop: Iterator[SynthesisResult], settings: SynthesisSettings
+) -> SynthesisResult:
+    for result in loop:
+        return result
+    raise SynthesisError(f"no conclusion after {settings.max_iterations} iterations")
 
 
 def synthesize_architecture(
@@ -151,42 +226,13 @@ def synthesize_architecture(
     """Find a bus set whose securing makes the attack spec UNSAT.
 
     Returns an infeasible result (``architecture=None``) when no
-    architecture within the budget resists the attack model.
+    architecture within the budget resists the attack model.  The
+    architecture is minimal only as far as the UNSAT proof's core
+    reaches; :func:`enumerate_architectures` returns subset-minimal ones.
     """
-    start = time.perf_counter()
-    selector, sb = _candidate_model(spec, settings)
-    verifier = UfdiEncoder(spec, symbolic_security=True)
-    counterexamples: List[AttackVector] = []
-    iterations = 0
-    while iterations < settings.max_iterations:
-        iterations += 1
-        if selector.check() is not Result.SAT:
-            return SynthesisResult(
-                None, iterations, time.perf_counter() - start, counterexamples
-            )
-        model = selector.model()
-        candidate = sorted(j for j, var in sb.items() if model.value(var))
-        outcome = verifier.check(secured_buses=candidate)
-        if outcome is Result.UNSAT:
-            architecture = candidate
-            uncored = None
-            if settings.core_minimize:
-                architecture = _core_minimize(verifier, candidate)
-                uncored = candidate
-            return SynthesisResult(
-                architecture,
-                iterations,
-                time.perf_counter() - start,
-                counterexamples,
-                uncored_architecture=uncored,
-            )
-        if outcome is not Result.SAT:
-            raise SynthesisError("verification returned UNKNOWN")
-        attack = verifier.extract_attack()
-        if collect_counterexamples:
-            counterexamples.append(attack)
-        _block_candidate(selector, sb, spec, settings, candidate, attack)
-    raise SynthesisError(f"no conclusion after {settings.max_iterations} iterations")
+    return _conclusion(
+        _algorithm_1([spec], settings, collect_counterexamples), settings
+    )
 
 
 def _block_candidate(
@@ -226,44 +272,19 @@ def enumerate_architectures(
 ) -> List[List[int]]:
     """Enumerate (up to ``limit``) minimal-by-inclusion architectures.
 
-    After each solution S, the clause ``OR_{j in S} not sb_j`` blocks S
-    and all its supersets (a superset of a working architecture always
-    works and is uninteresting), so the enumeration walks an antichain.
-    With ``core_minimize`` (the default) each solution is first shrunk
-    to its UNSAT core, which makes the blocking clause shorter and the
-    pruning strictly stronger.
+    Each answer is shrunk to its UNSAT core (with ``core_minimize``, the
+    default) and then bus by bus, keeping each drop that still blocks
+    the attack, so no bus of an answer can be dropped.  The clause
+    ``OR_{j in S} not sb_j`` then blocks the answer S and all its
+    supersets, so the enumeration walks an antichain.
     """
-    start_settings = settings
-    results: List[List[int]] = []
-    selector, sb = _candidate_model(spec, start_settings)
-    verifier = UfdiEncoder(spec, symbolic_security=True)
-    iterations = 0
-    while len(results) < limit and iterations < settings.max_iterations:
-        iterations += 1
-        if selector.check() is not Result.SAT:
-            break
-        model = selector.model()
-        candidate = sorted(j for j, var in sb.items() if model.value(var))
-        outcome = verifier.check(secured_buses=candidate)
-        if outcome is Result.UNSAT:
-            if settings.core_minimize:
-                candidate = _core_minimize(verifier, candidate)
-            results.append(candidate)
-            if not candidate:
-                break  # the empty architecture works; nothing else is minimal
-            selector.add(Or(*[Not(sb[j]) for j in candidate]))
-        elif outcome is Result.SAT:
-            attack = verifier.extract_attack()
-            _block_candidate(selector, sb, spec, settings, candidate, attack)
-        else:
-            raise SynthesisError("verification returned UNKNOWN")
-    return results
+    loop = _algorithm_1([spec], settings, False, subset_minimal=True)
+    return [r.architecture for r in islice(loop, limit) if r.architecture is not None]
 
 
 def synthesize_against_all(
     specs: Sequence[AttackSpec],
     settings: SynthesisSettings,
-    jobs: int = 1,
 ) -> SynthesisResult:
     """Synthesize one architecture resisting a *list* of attack models.
 
@@ -273,12 +294,6 @@ def synthesize_against_all(
     limits, knowledge and topology capability).  A candidate passes
     only when *every* verification model is UNSAT; the lowest-indexed
     SAT model contributes its counterexample clause.
-
-    With ``jobs > 1`` the per-candidate verifications fan out over a
-    persistent worker pool (:class:`repro.runtime.executor
-    .SpecVerifierPool`); every spec is evaluated on every iteration in
-    both modes, so the incremental solver state — and therefore the
-    result — is bit-identical to the ``jobs=1`` run.
     """
     if not specs:
         raise ValueError("need at least one attack spec")
@@ -286,99 +301,25 @@ def synthesize_against_all(
     for other in specs[1:]:
         if other.grid.lines != base.grid.lines or other.plan.taken != base.plan.taken:
             raise ValueError("all specs must share the grid and measurement plan")
-    start = time.perf_counter()
-    selector, sb = _candidate_model(base, settings)
+    return _conclusion(_algorithm_1(specs, settings, True), settings)
 
-    pool = None
-    if jobs > 1 and len(specs) > 1:
-        from repro.runtime.executor import SpecVerifierPool
 
-        try:
-            pool = SpecVerifierPool(specs, jobs)
-        except (ImportError, OSError, ValueError):
-            pool = None  # no process support: serial fallback
+def _core_minimize(verifier: UfdiEncoder, candidate: Sequence[int]) -> List[int]:
+    """Shrink an UNSAT measurement candidate to what its proof used.
 
-    try:
-        if pool is not None:
-            from repro.runtime.serialize import attack_from_payload
-
-            def evaluate(candidate: Sequence[int]):
-                return [
-                    (index, outcome, attack_from_payload(attack), core)
-                    for index, outcome, attack, core in pool.check(candidate)
-                ]
-
-        else:
-            verifiers = [UfdiEncoder(spec, symbolic_security=True) for spec in specs]
-
-            def evaluate(candidate: Sequence[int]):
-                verdicts = []
-                for index, verifier in enumerate(verifiers):
-                    outcome = verifier.check(secured_buses=candidate)
-                    attack = (
-                        verifier.extract_attack() if outcome is Result.SAT else None
-                    )
-                    core = (
-                        verifier.core_secured_buses()
-                        if outcome is Result.UNSAT
-                        else None
-                    )
-                    verdicts.append((index, outcome.value, attack, core))
-                return verdicts
-
-        counterexamples: List[AttackVector] = []
-        iterations = 0
-        while iterations < settings.max_iterations:
-            iterations += 1
-            if selector.check() is not Result.SAT:
-                return SynthesisResult(
-                    None, iterations, time.perf_counter() - start, counterexamples
-                )
-            model = selector.model()
-            candidate = sorted(j for j, var in sb.items() if model.value(var))
-            verdicts = evaluate(candidate)
-            failed = next(
-                (
-                    (i, attack)
-                    for i, outcome, attack, _ in verdicts
-                    if outcome == "sat"
-                ),
-                None,
-            )
-            if failed is None:
-                if any(outcome != "unsat" for _, outcome, _, _ in verdicts):
-                    raise SynthesisError("verification returned UNKNOWN")
-                architecture = candidate
-                uncored = None
-                if settings.core_minimize:
-                    # Every spec's proof used only its own core; the
-                    # union of cores therefore blocks every spec, and
-                    # (monotonicity) so does any superset of it.  One
-                    # confirming broadcast re-verifies the union.
-                    union = sorted(
-                        {bus for _, _, _, core in verdicts for bus in (core or ())}
-                    )
-                    uncored = candidate
-                    if len(union) < len(candidate):
-                        confirm = evaluate(union)
-                        if all(o == "unsat" for _, o, _, _ in confirm):
-                            architecture = union
-                return SynthesisResult(
-                    architecture,
-                    iterations,
-                    time.perf_counter() - start,
-                    counterexamples,
-                    uncored_architecture=uncored,
-                )
-            index, attack = failed
-            counterexamples.append(attack)
-            _block_candidate(selector, sb, specs[index], settings, candidate, attack)
-        raise SynthesisError(
-            f"no conclusion after {settings.max_iterations} iterations"
-        )
-    finally:
-        if pool is not None:
-            pool.close()
+    The failed-assumption core is a subset of the candidate, and UNSAT
+    under assumptions is monotone (adding assumptions back cannot make
+    the formula satisfiable), so the core is itself a blocking
+    architecture.  The shrunken set is re-verified before being trusted;
+    on the (theoretically impossible) chance the re-check does not come
+    back UNSAT, the full candidate is returned unchanged.
+    """
+    core = verifier.core_secured_measurements()
+    if len(core) >= len(candidate):
+        return sorted(candidate)
+    if verifier.check(secured_measurements=core) is Result.UNSAT:
+        return core
+    return sorted(candidate)
 
 
 def synthesize_measurement_architecture(
@@ -415,7 +356,7 @@ def synthesize_measurement_architecture(
             architecture = candidate
             uncored = None
             if core_minimize:
-                architecture = _core_minimize(verifier, candidate, measurements=True)
+                architecture = _core_minimize(verifier, candidate)
                 uncored = candidate
             return SynthesisResult(
                 architecture,

@@ -190,7 +190,6 @@ class UfdiEncoder:
             "cb": None,
         }
         self.any_goal: Optional[BoolVar] = None  # gate for "any state moves"
-        self.encodes = 1  # grid re-encodings this encoder performed
         self._encode()
 
     # ------------------------------------------------------------------
@@ -554,10 +553,8 @@ class UfdiEncoder:
         )
 
     def statistics(self) -> Dict[str, int]:
-        """Solver statistics plus the encoder's own counters."""
-        stats = self.solver.statistics()
-        stats["encodes"] = self.encodes
-        return stats
+        """The solver's statistics."""
+        return self.solver.statistics()
 
     def extract_attack(self, model=None) -> AttackVector:
         """Read the attack vector out of a model (default: last SAT model)."""
@@ -629,11 +626,6 @@ class VerificationSession:
         )
         self.probes = 0
         self.unsat_probes = 0
-
-    @property
-    def encodes(self) -> int:
-        """Grid encodings performed (1 for the session's whole lifetime)."""
-        return self.encoder.encodes
 
     def compatible(self, spec: AttackSpec) -> bool:
         """Whether ``spec`` belongs to this session's family.

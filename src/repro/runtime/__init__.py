@@ -5,7 +5,8 @@ memoized:
 
 * :mod:`repro.runtime.executor` — process-pool fan-out for batches of
   independent verification/synthesis instances, with per-task timeouts
-  and an in-process fallback at ``jobs=1``;
+  and an in-process fallback at ``jobs=1`` (one synthesis against
+  several specs runs in-process, in :mod:`repro.core.synthesis`);
 * :mod:`repro.runtime.portfolio` — portfolio racing on a single
   instance: N diversified SMT configurations cooperating through
   learned-clause exchange (first conclusive answer wins, losers are
@@ -21,7 +22,6 @@ from repro.runtime.cache import CacheStats, ResultCache, default_cache_dir
 from repro.runtime.executor import (
     HAS_TASK_TIMEOUTS,
     RuntimeOptions,
-    SpecVerifierPool,
     clear_session_registry,
     session_registry_stats,
     synthesize_many,
@@ -51,7 +51,6 @@ __all__ = [
     "HAS_TASK_TIMEOUTS",
     "ResultCache",
     "RuntimeOptions",
-    "SpecVerifierPool",
     "attack_from_payload",
     "attack_to_payload",
     "canonical_json",

@@ -11,11 +11,9 @@ problem.  This module fans those instances out:
   (:mod:`repro.runtime.cache`).  Identical specs inside one batch are
   solved once.
 * :func:`synthesize_many` — batch independent synthesis problems.
-* :class:`SpecVerifierPool` — persistent workers, each owning the
-  *incremental* symbolic-security encoders for a slice of a spec list;
-  ``synthesize_against_all`` broadcasts each candidate architecture and
-  collects all verdicts in parallel while preserving the exact solver
-  state evolution of the serial loop (bit-identical results).
+  Synthesis against a list of specs stays in one process: each
+  candidate waits for every spec's check, so spreading the specs over
+  workers measured slower (docs/PERFORMANCE.md).
 
 With ``jobs=1`` everything degrades gracefully to in-process execution
 — no worker processes, no pickling — which is also the fallback on
@@ -52,7 +50,6 @@ from repro.obs.trace import (
 from repro.runtime.cache import ResultCache
 from repro.runtime.portfolio import parse_portfolio_mode, race_configs
 from repro.runtime.serialize import (
-    attack_to_payload,
     canonical_json,
     family_fingerprint,
     payload_to_spec,
@@ -606,122 +603,3 @@ def synthesize_many(
     ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_synthesize_remote, tasks, chunksize=1))
-
-
-# ----------------------------------------------------------------------
-# persistent verifier pool for multi-requirement synthesis
-# ----------------------------------------------------------------------
-def _synth_verify_worker(conn, assigned: List[Tuple[int, str]]) -> None:
-    """Own the incremental encoders for a slice of the spec list.
-
-    Protocol: receive a candidate bus list, reply with
-    ``[(spec_index, outcome_value, attack_payload_or_None,
-    core_buses_or_None), ...]`` for every owned spec — the core entry
-    is the UNSAT proof's failed-assumption bus set, used by the caller
-    for core minimization; ``None`` shuts the worker down.  Encoders
-    persist across candidates, so learned clauses accumulate exactly as
-    in the serial loop.
-    """
-    from repro.core.verification import UfdiEncoder
-    from repro.smt import Result
-
-    try:
-        encoders = [
-            (index, UfdiEncoder(payload_to_spec(json.loads(payload)), symbolic_security=True))
-            for index, payload in assigned
-        ]
-        while True:
-            candidate = conn.recv()
-            if candidate is None:
-                break
-            replies = []
-            for index, encoder in encoders:
-                outcome = encoder.check(secured_buses=candidate)
-                attack = (
-                    attack_to_payload(encoder.extract_attack())
-                    if outcome is Result.SAT
-                    else None
-                )
-                core = (
-                    encoder.core_secured_buses()
-                    if outcome is Result.UNSAT
-                    else None
-                )
-                replies.append((index, outcome.value, attack, core))
-            conn.send(replies)
-    except (EOFError, KeyboardInterrupt):
-        pass
-    finally:
-        conn.close()
-
-
-class SpecVerifierPool:
-    """Persistent workers for ``synthesize_against_all``'s inner loop.
-
-    Spec indices are dealt round-robin across ``jobs`` workers; each
-    worker builds its encoders once (in parallel with the others) and
-    re-checks them under assumptions for every broadcast candidate.
-    """
-
-    def __init__(self, specs: Sequence[AttackSpec], jobs: int) -> None:
-        import multiprocessing
-
-        workers = max(1, min(jobs, len(specs)))
-        payloads = [canonical_json(spec_to_payload(spec)) for spec in specs]
-        ctx = multiprocessing.get_context()
-        self._connections = []
-        self._processes = []
-        slices: List[List[Tuple[int, str]]] = [[] for _ in range(workers)]
-        for index, payload in enumerate(payloads):
-            slices[index % workers].append((index, payload))
-        for assigned in slices:
-            parent_conn, child_conn = ctx.Pipe()
-            process = ctx.Process(
-                target=_synth_verify_worker,
-                args=(child_conn, assigned),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            self._connections.append(parent_conn)
-            self._processes.append(process)
-
-    def check(
-        self, candidate: Sequence[int]
-    ) -> List[Tuple[int, str, Optional[dict], Optional[List[int]]]]:
-        """Broadcast a candidate; gather every spec's verdict, by index."""
-        candidate = list(candidate)
-        for conn in self._connections:
-            conn.send(candidate)
-        verdicts: List[Tuple[int, str, Optional[dict], Optional[List[int]]]] = []
-        for conn, process in zip(self._connections, self._processes):
-            try:
-                verdicts.extend(conn.recv())
-            except EOFError as exc:
-                raise RuntimeError(
-                    f"verifier worker pid={process.pid} died mid-candidate"
-                ) from exc
-        verdicts.sort(key=lambda item: item[0])
-        return verdicts
-
-    def close(self) -> None:
-        for conn in self._connections:
-            try:
-                conn.send(None)
-            except (OSError, BrokenPipeError):
-                pass
-        for process in self._processes:
-            process.join(timeout=5.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5.0)
-        for conn in self._connections:
-            conn.close()
-        self._connections = []
-        self._processes = []
-
-    def __enter__(self) -> "SpecVerifierPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

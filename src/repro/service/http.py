@@ -68,7 +68,7 @@ from urllib.parse import parse_qs
 
 from repro.core.io import SpecParseError, parse_spec
 from repro.core.spec import AttackSpec
-from repro.core.synthesis import SynthesisSettings
+from repro.core.synthesis import SynthesisSettings, check_excluded_buses
 from repro.monitor.incidents import Incident, IncidentStore
 from repro.obs import metrics as obs_metrics
 from repro.obs.flight import configure_flight, get_flight_recorder
@@ -501,8 +501,11 @@ class ServiceApp:
         if "max_iterations" in settings:
             kwargs["max_iterations"] = settings["max_iterations"]
         try:
-            SynthesisSettings(
-                **{**kwargs, "excluded_buses": frozenset(kwargs["excluded_buses"])}
+            check_excluded_buses(
+                spec,
+                SynthesisSettings(
+                    **{**kwargs, "excluded_buses": frozenset(kwargs["excluded_buses"])}
+                ),
             )
         except (TypeError, ValueError) as exc:
             raise RequestError(f"invalid settings: {exc}") from exc

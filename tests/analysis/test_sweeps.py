@@ -82,22 +82,22 @@ class TestSpecForCase:
 
 
 class TestBudgetSweep:
-    def test_matches_cold_solves_with_one_encode(self):
+    def test_matches_cold_solves_with_one_encode(self, grid_encodes):
         from repro.analysis.sweeps import budget_sweep
         from repro.core.spec import AttackGoal, AttackSpec, ResourceLimits
 
         spec = AttackSpec.default(ieee14(), goal=AttackGoal.states(8))
         budgets = [None, 1, 2, 3, 4, 6]
         rows = budget_sweep(spec, budgets)
+        assert grid_encodes() == 1
         assert [b for b, _ in rows] == budgets
         for budget, result in rows:
             cold = verify_attack(
                 spec.with_limits(ResourceLimits(max_measurements=budget))
             )
             assert result.outcome == cold.outcome
-            assert result.statistics["encodes"] == 1
 
-    def test_bus_dimension_and_shared_session(self):
+    def test_bus_dimension_and_shared_session(self, grid_encodes):
         from repro.analysis.sweeps import budget_sweep
         from repro.core.spec import AttackGoal, AttackSpec
         from repro.core.verification import VerificationSession
@@ -106,7 +106,7 @@ class TestBudgetSweep:
         session = VerificationSession(spec)
         budget_sweep(spec, [1, 2, 3], dimension="buses", session=session)
         budget_sweep(spec, [None, 4], session=session)
-        assert session.encodes == 1
+        assert grid_encodes() == 1
         assert session.probes == 5
 
     def test_invalid_dimension(self):
@@ -119,12 +119,11 @@ class TestBudgetSweep:
 
 
 class TestVerificationSweepSessions:
-    def test_serial_sweep_encodes_each_case_once(self):
+    def test_serial_sweep_encodes_each_case_once(self, grid_encodes):
         from repro.analysis.sweeps import verification_sweep
 
         rows = verification_sweep(["ieee14"], targets_per_case=3)
         assert len(rows) == 3
-        for _name, _target, result in rows:
-            assert result.statistics["encodes"] == 1
+        assert grid_encodes() == 1
         # all three targets were probed on the same session
         assert rows[-1][2].statistics["session_probes"] == 3

@@ -84,15 +84,15 @@ class TestMinimumCost:
         result = minimum_attack_cost(path_spec(6))
         assert result.probes <= 6
 
-    def test_single_encode_for_whole_search(self):
+    def test_single_encode_for_whole_search(self, grid_encodes):
         # the whole binary search must run on one warm session encoding
         spec = AttackSpec.default(ieee14(), goal=AttackGoal.states(8))
         result = minimum_attack_cost(spec)
         assert result.cost == 4
-        assert result.encodes == 1
+        assert grid_encodes() == 1
         assert result.probes >= 3
 
-    def test_shared_session_across_searches(self):
+    def test_shared_session_across_searches(self, grid_encodes):
         from repro.core.verification import VerificationSession
 
         spec = AttackSpec.default(ieee14(), goal=AttackGoal.states(8))
@@ -101,7 +101,7 @@ class TestMinimumCost:
         second = minimum_attack_cost(spec.with_goal(AttackGoal.states(10)), session=session)
         assert first.cost == 4
         assert second.cost is not None
-        assert session.encodes == 1
+        assert grid_encodes() == 1
 
     def test_incompatible_session_rejected(self):
         from repro.core.verification import VerificationSession
@@ -156,12 +156,12 @@ class TestStateCosts:
         # the far leaf (4) is cheapest (smallest footprint)
         assert costs[4] == min(costs.values())
 
-    def test_one_session_for_all_states(self):
+    def test_one_session_for_all_states(self, grid_encodes):
         from repro.core.verification import VerificationSession
 
         spec = path_spec(4).with_goal(AttackGoal())
         session = VerificationSession(spec)
         costs = state_attack_costs(spec, session=session)
         assert set(costs) == {2, 3, 4}
-        assert session.encodes == 1
+        assert grid_encodes() == 1
         assert session.probes >= len(costs)

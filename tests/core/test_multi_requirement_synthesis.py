@@ -133,36 +133,6 @@ class TestInputValidation:
             synthesize_against_all([a, b], SynthesisSettings(max_secured_buses=2))
 
 
-class TestParallelParity:
-    """jobs=2 must reproduce the serial CEGIS run bit for bit."""
-
-    @pytest.fixture(scope="class")
-    def requirements(self):
-        grid = ieee14()
-        base = AttackSpec.default(grid)
-        return [
-            base.with_goal(AttackGoal.states(10)),
-            base.with_goal(AttackGoal.states(12, exclusive=True)),
-            base.with_goal(AttackGoal.states(8)),
-        ]
-
-    def test_parallel_bit_identical_to_serial(self, requirements):
-        settings = SynthesisSettings(max_secured_buses=5)
-        serial = synthesize_against_all(requirements, settings, jobs=1)
-        parallel = synthesize_against_all(requirements, settings, jobs=2)
-        assert parallel.architecture == serial.architecture
-        assert parallel.iterations == serial.iterations
-        assert parallel.counterexamples == serial.counterexamples
-
-    def test_parallel_infeasible_matches_serial(self, requirements):
-        settings = SynthesisSettings(max_secured_buses=0)
-        serial = synthesize_against_all(requirements, settings, jobs=1)
-        parallel = synthesize_against_all(requirements, settings, jobs=2)
-        assert serial.architecture is None
-        assert parallel.architecture is None
-        assert parallel.iterations == serial.iterations
-
-
 class TestUnionOfCores:
     def test_union_core_blocks_every_spec(self):
         base = AttackSpec.default(ieee14())
@@ -180,20 +150,6 @@ class TestUnionOfCores:
         for spec in requirements:
             check = verify_attack(spec.with_secured_buses(result.architecture))
             assert not check.attack_exists
-
-    def test_pool_and_serial_agree_on_minimization(self):
-        base = AttackSpec.default(ieee14())
-        requirements = [
-            base.with_goal(AttackGoal.states(5)),
-            base.with_goal(AttackGoal.states(8)),
-            base.with_goal(AttackGoal.states(10)),
-        ]
-        settings = SynthesisSettings(max_secured_buses=6)
-        serial = synthesize_against_all(requirements, settings, jobs=1)
-        pooled = synthesize_against_all(requirements, settings, jobs=2)
-        assert serial.architecture == pooled.architecture
-        assert serial.uncored_architecture == pooled.uncored_architecture
-        assert serial.iterations == pooled.iterations
 
     def test_core_minimize_off_keeps_raw_candidate(self):
         base = AttackSpec.default(ieee14())

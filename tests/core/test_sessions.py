@@ -17,14 +17,14 @@ def path_grid(n=4):
 
 
 class TestSessionAgreement:
-    def test_budget_probes_match_cold_solves(self):
+    def test_budget_probes_match_cold_solves(self, grid_encodes):
         spec = AttackSpec.default(path_grid(4), goal=AttackGoal.states(4))
         session = VerificationSession(spec)
         for k in (None, 0, 1, 2, 3, 4, 5, 10):
             cold = verify_attack(spec.with_limits(ResourceLimits(max_measurements=k)))
             warm = session.probe(max_measurements=k)
             assert warm.outcome == cold.outcome, k
-        assert session.encodes == 1
+        assert grid_encodes() == 1 + 8  # the session's, and one per cold solve
         assert session.probes == 8
 
     def test_bus_budget_probes(self):
@@ -34,7 +34,7 @@ class TestSessionAgreement:
             cold = verify_attack(spec.with_limits(ResourceLimits(max_buses=k)))
             assert session.probe(max_buses=k).outcome == cold.outcome, k
 
-    def test_goal_probes_match_cold_solves(self):
+    def test_goal_probes_match_cold_solves(self, grid_encodes):
         spec = AttackSpec.default(ieee14(), goal=AttackGoal.states(8))
         session = VerificationSession(spec)
         goals = [
@@ -47,7 +47,7 @@ class TestSessionAgreement:
         for goal in goals:
             cold = verify_attack(spec.with_goal(goal))
             assert session.probe(goal=goal).outcome == cold.outcome, goal
-        assert session.encodes == 1
+        assert grid_encodes() == 1 + len(goals)
 
     def test_probe_spec_uses_spec_limits_and_goal(self):
         base = AttackSpec.default(path_grid(4), goal=AttackGoal.states(4))
@@ -65,13 +65,13 @@ class TestSessionAgreement:
         # same witness-footprint property as the cold path
         assert result.attack.altered_measurements == [3, 6, 9, 10]
 
-    def test_statistics_carry_session_counters(self):
+    def test_statistics_carry_session_counters(self, grid_encodes):
         spec = AttackSpec.default(path_grid(3), goal=AttackGoal.states(3))
         session = VerificationSession(spec)
         session.probe(max_measurements=0)
         session.probe()
         stats = session.statistics()
-        assert stats["encodes"] == 1
+        assert grid_encodes() == 1
         assert stats["session_probes"] == 2
         assert stats["session_unsat_probes"] == 1
 

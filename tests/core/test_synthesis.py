@@ -108,6 +108,12 @@ class TestConstraints:
         assert result.architecture is not None
         assert not set(result.architecture) & {2, 6}
 
+    def test_unknown_excluded_bus_rejected(self):
+        spec = AttackSpec.default(ieee14(), goal=AttackGoal.any())
+        settings = SynthesisSettings(max_secured_buses=3, excluded_buses=frozenset({99}))
+        with pytest.raises(ValueError, match=r"excluded buses \[99\]"):
+            synthesize_architecture(spec, settings)
+
     def test_budget_respected(self):
         spec = AttackSpec.default(ieee14(), goal=AttackGoal.any())
         result = synthesize_architecture(spec, SynthesisSettings(max_secured_buses=5))
@@ -146,10 +152,15 @@ class TestEnumeration:
             check = verify_attack(spec.with_secured_buses(arch))
             assert not check.attack_exists
 
-    def test_enumeration_is_an_antichain(self):
-        spec = AttackSpec.default(ieee14(), goal=AttackGoal.any())
+    @pytest.mark.parametrize(
+        "state, budget, limit",
+        [(None, 5, 4)] + [(state, 4, 5) for state in range(2, 15)],
+    )
+    def test_enumeration_is_an_antichain(self, state, budget, limit):
+        goal = AttackGoal.any() if state is None else AttackGoal.states(state)
+        spec = AttackSpec.default(ieee14(), goal=goal)
         architectures = enumerate_architectures(
-            spec, SynthesisSettings(max_secured_buses=5), limit=4
+            spec, SynthesisSettings(max_secured_buses=budget), limit=limit
         )
         for i, a in enumerate(architectures):
             for j, b in enumerate(architectures):

@@ -115,10 +115,15 @@ class TestMeasurementVsBusArchitectures:
         below = synthesize_measurement_architecture(spec, max_secured_measurements=2)
         assert below.architecture is None
 
-    def test_enumerated_architectures_all_minimal(self):
-        spec = AttackSpec.default(ieee14(), goal=AttackGoal.any())
+    @pytest.mark.parametrize(
+        "state, budget, limit",
+        [(None, 5, 3)] + [(state, 4, 5) for state in range(2, 15)],
+    )
+    def test_enumerated_architectures_all_minimal(self, state, budget, limit):
+        goal = AttackGoal.any() if state is None else AttackGoal.states(state)
+        spec = AttackSpec.default(ieee14(), goal=goal)
         architectures = enumerate_architectures(
-            spec, SynthesisSettings(max_secured_buses=5), limit=3
+            spec, SynthesisSettings(max_secured_buses=budget), limit=limit
         )
         for arch in architectures:
             for removed in arch:

@@ -123,6 +123,16 @@ class TestValidation:
             )
         assert excinfo.value.status == 400
 
+    def test_synthesize_unknown_excluded_bus_is_400(self, server):
+        # a client's error, not a job that fails and is retried
+        handle, client = server
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit_synthesize(make_spec(), budget=3, settings={"exclude": [99]})
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["code"] == "bad_request"
+        assert "excluded buses [99]" in excinfo.value.payload["error"]
+        assert handle.app.queue.counters["submitted"] == 0
+
     def test_unknown_job_is_404(self, server):
         _, client = server
         with pytest.raises(ServiceError) as excinfo:

@@ -88,34 +88,6 @@ class TestSynthesize:
         out = capsys.readouterr().out
         assert out.count("secure buses") >= 1
 
-    def test_multi_spec_jobs_zero_pools_all_cores(
-        self, spec_file, secure_spec_file, monkeypatch, capsys
-    ):
-        # --jobs 0 means all cores, as its help says: a worker pool here
-        import os
-
-        from repro.runtime import executor
-
-        pools = []
-
-        class RecordingPool(executor.SpecVerifierPool):
-            def __init__(self, specs, jobs):
-                pools.append(jobs)
-                super().__init__(specs, jobs)
-
-        monkeypatch.setattr(executor, "SpecVerifierPool", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        argv = ["synthesize", spec_file, secure_spec_file, "--budget", "3"]
-        assert main([*argv, "--jobs", "1"]) == 0
-        serial = capsys.readouterr().out
-        assert pools == []
-        assert main([*argv, "--jobs", "0"]) == 0
-        assert pools == [2]
-        pooled = capsys.readouterr().out
-        # the same architecture; the first line also carries the runtime
-        assert "secure buses" in serial
-        assert pooled.splitlines()[1:] == serial.splitlines()[1:]
-
     def test_exclude(self, spec_file, capsys):
         rc = main(
             ["synthesize", spec_file, "--budget", "4", "--exclude", "6", "12"]
@@ -257,7 +229,7 @@ class TestInputErrors:
             "expected a non-negative integer, got '-1'\n"
         )
 
-    @pytest.mark.parametrize("argv", [["verify"], ["synthesize", "--budget", "2"]])
+    @pytest.mark.parametrize("argv", [["verify"]])
     def test_negative_jobs_rejected_by_parser(self, argv, spec_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main([argv[0], spec_file, *argv[1:], "--jobs", "-1"])
@@ -305,6 +277,8 @@ class TestInputErrors:
             (["synthesize", "--budget", "2"], ["--portfolio"]),
             (["synthesize", "--budget", "2"], ["--cache-dir", "cache"]),
             (["synthesize", "--budget", "2"], ["--sessions"]),
+            # one loop checks every spec in-process
+            (["synthesize", "--budget", "2"], ["--jobs", "2"]),
         ],
     )
     def test_removed_flags_are_usage_errors(self, argv, flag, spec_file, capsys):
@@ -319,6 +293,22 @@ class TestInputErrors:
     def test_zero_budget_still_accepted(self, spec_file, capsys):
         # 0 is a real budget: with no secured bus the attack goes through
         assert main(["synthesize", spec_file, "--budget", "0"]) == 1
+
+    def test_unknown_excluded_bus_is_an_input_error(self, spec_file, capsys):
+        assert main(["synthesize", spec_file, "--budget", "3", "--exclude", "99"]) == 3
+        assert capsys.readouterr().err == (
+            "repro: error: excluded buses [99] are not buses of the grid (1..14)\n"
+        )
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_enumerate_needs_a_positive_count(self, count, spec_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synthesize", spec_file, "--budget", "3", "--enumerate", count])
+        assert exc.value.code == 3
+        assert capsys.readouterr().err == (
+            "repro: error: argument --enumerate: "
+            f"expected a positive integer, got '{count}'\n"
+        )
 
     def test_multi_spec_enumerate_is_an_input_error(self, spec_file, capsys):
         args = ["synthesize", spec_file, spec_file, "--budget", "2", "--enumerate", "2"]
