@@ -77,6 +77,9 @@ class SynthesisSettings:
             raise ValueError("budget must be nonnegative")
         if self.blocking not in ("counterexample", "subset", "exact"):
             raise ValueError(f"unknown blocking mode {self.blocking!r}")
+        limit = self.max_iterations
+        if type(limit) is bool or not isinstance(limit, int) or limit < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, not {limit!r}")
 
 
 @dataclass

@@ -24,12 +24,16 @@ Two engines share this interface:
   (``tests/smt/test_kernel_equivalence.py``) and selectable via
   ``Solver(kernel="reference")``.
 
-Both pick pivots by Bland's smallest-index rule over exact arithmetic
-and concretize delta the same way, so verdicts, models, cores and
-search traces are bit-identical.  No floating point is involved, so
-SAT/UNSAT answers carry no rounding risk.  Strict inequalities are
-handled symbolically through the infinitesimal component of
-delta-rationals.
+Both pick pivots by the same rule over exact arithmetic and concretize
+delta the same way, so verdicts, models, cores and search traces are
+bit-identical.  The leaving variable is the smallest violated basic
+one; the entering variable is the movable one whose column has the
+fewest entries (the least fill-in), ties to the smaller index, until
+one ``check`` has made ``_BLAND_AFTER`` pivots.  From then on that
+check takes the smallest movable index (Bland's rule), which
+guarantees termination.  No floating point is involved, so SAT/UNSAT
+answers carry no rounding risk.  Strict inequalities are handled
+symbolically through the infinitesimal component of delta-rationals.
 
 :class:`Simplex` additionally exposes the hooks the theory-propagation
 layer needs: a ``bound_dirty`` set of variables whose bounds changed
@@ -110,6 +114,10 @@ T_ZERO: Triple = (0, 0, 1)
 #: denominators are only GCD-normalized once they exceed this, keeping
 #: the common case at machine-word width without a gcd per operation
 _NORM_LIMIT = 1 << 64
+
+#: pivots one ``check`` makes by the sparse-column rule before it falls
+#: back to Bland's smallest-index rule (0 would be Bland's rule alone)
+_BLAND_AFTER = 50
 
 #: pivots between deferred refactorization sweeps
 _REFACTOR_INTERVAL = 64
@@ -221,8 +229,8 @@ class Simplex:
 
     * ``_violated`` is exactly the set of basic variables whose
       assignment lies outside their bounds.  :meth:`check` takes
-      ``min(_violated)`` (Bland's smallest-index rule without a full
-      scan), so the no-pivot case — the common one — is O(1) instead of
+      ``min(_violated)`` as the leaving variable without a full scan,
+      so the no-pivot case — the common one — is O(1) instead of
       O(rows).
     * every ``_REFACTOR_INTERVAL`` pivots, :meth:`_refactorize` sweeps
       rows and assignment triples whose denominators outgrew
@@ -595,16 +603,20 @@ class Simplex:
         until every basic variable is too (SAT) or some row proves a
         bound conflict (UNSAT, with the reasons of all involved bounds).
 
-        Pivot selection follows Bland's smallest-index rule throughout,
-        which guarantees termination (no cycling): the violating row is
-        ``min(_violated)``, the entering variable the smallest movable
-        one in that row.
+        The violating row is ``min(_violated)``.  The entering variable
+        is the movable one in that row whose column has the fewest
+        entries, ties to the smaller index, so a pivot substitutes into
+        as few rows as it can.  Once this call has made ``_BLAND_AFTER``
+        pivots, it is the smallest movable index instead: Bland's rule,
+        which guarantees termination (no cycling) from any basis.
         """
         rows = self.rows
+        cols = self.cols
         vals = self._val
         lbs = self._lb
         ubs = self._ub
         violated = self._violated
+        made = 0
         while True:
             if not violated:
                 if self.debug_invariants:
@@ -617,7 +629,12 @@ class Simplex:
             # unambiguous: below the lower bound means increase
             increase = lo is not None and _tlt(val, lo)
             row = rows[violating]
+            # the key (column entries, index) as one integer, since every
+            # index is below num_vars; past the budget, weight 0 leaves
+            # the index alone, which is Bland's rule
+            weight = self.num_vars if made < _BLAND_AFTER else 0
             pivot_var = -1
+            best = 0
             for var in row:
                 coeff = row[var]
                 if increase:
@@ -636,8 +653,11 @@ class Simplex:
                         coeff < 0
                         and (ubs[var] is None or _tlt(vals[var], ubs[var]))
                     )
-                if movable and (pivot_var == -1 or var < pivot_var):
-                    pivot_var = var
+                if movable:
+                    key = len(cols[var]) * weight + var
+                    if pivot_var == -1 or key < best:
+                        pivot_var = var
+                        best = key
             if pivot_var == -1:
                 # conflict: the row pins `violating` strictly outside its bound
                 reasons = []
@@ -659,6 +679,7 @@ class Simplex:
             target = lbs[violating] if increase else ubs[violating]
             assert target is not None
             self._pivot_and_update(violating, pivot_var, target)
+            made += 1
 
     # ------------------------------------------------------------------
     # theory-aware bound propagation support
@@ -807,10 +828,11 @@ class Simplex:
 class ReferenceSimplex:
     """The original per-operation ``Fraction`` engine (property oracle).
 
-    Byte-for-byte the pre-overhaul implementation, kept as the reference
-    against which :class:`Simplex` must stay bit-identical (same pivot
-    sequence, same verdicts, same models).  Selected with
-    ``Solver(kernel="reference")`` / ``REPRO_THEORY_KERNEL=reference``.
+    The pre-overhaul implementation, with the production pivot rule,
+    kept as the reference against which :class:`Simplex` must stay
+    bit-identical (same pivot sequence, same verdicts, same models).
+    Selected with ``Solver(kernel="reference")`` /
+    ``REPRO_THEORY_KERNEL=reference``.
     """
 
     def __init__(self) -> None:
@@ -977,7 +999,14 @@ class ReferenceSimplex:
     # the check procedure
     # ------------------------------------------------------------------
     def check(self) -> Optional[List[int]]:
-        """Restore feasibility; returns a conflicting reason set or None."""
+        """Restore feasibility; returns a conflicting reason set or None.
+
+        Same pivot rule as :meth:`Simplex.check`: the smallest violated
+        basic variable leaves, and the movable variable with the fewest
+        column entries enters until ``_BLAND_AFTER`` pivots, the
+        smallest movable one after.
+        """
+        made = 0
         while True:
             violating = -1
             increase = False
@@ -997,7 +1026,9 @@ class ReferenceSimplex:
                     self.check_invariants()
                 return None
             row = self.rows[violating]
+            weight = self.num_vars if made < _BLAND_AFTER else 0
             pivot_var = -1
+            best = 0
             for var in row:
                 coeff = row[var]
                 if increase:
@@ -1016,8 +1047,11 @@ class ReferenceSimplex:
                         coeff < 0
                         and (self.upper[var] is None or self.assign[var] < self.upper[var])
                     )
-                if movable and (pivot_var == -1 or var < pivot_var):
-                    pivot_var = var
+                if movable:
+                    key = len(self.cols[var]) * weight + var
+                    if pivot_var == -1 or key < best:
+                        pivot_var = var
+                        best = key
             if pivot_var == -1:
                 # conflict: the row pins `violating` strictly outside its bound
                 reasons = []
@@ -1039,6 +1073,7 @@ class ReferenceSimplex:
             target = self.lower[violating] if increase else self.upper[violating]
             assert target is not None
             self._pivot_and_update(violating, pivot_var, target)
+            made += 1
 
     # ------------------------------------------------------------------
     # debugging

@@ -41,7 +41,7 @@ class Result(enum.Enum):
 #: bumped whenever solver internals change in a way that can alter
 #: models, cores or the statistics schema; baked into cache
 #: fingerprints so stale disk entries are recomputed, not reused
-ENGINE_VERSION = 9
+ENGINE_VERSION = 10
 
 DEFAULT_KERNEL = "sparse"
 

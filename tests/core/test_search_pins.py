@@ -5,7 +5,8 @@ atom is canonicalized or a row installed must not change which atoms,
 clauses, pivots and row-implied propagations the search sees, so
 ``verify_attack``'s outcome, search counters and witnesses are pinned
 here on the Section III-I case study and two sweep instances (about
-1 s together).  The pure SAT core's search is pinned by
+1 s together), under the shipped pivot rule and under its Bland's-rule
+fallback alone.  The pure SAT core's search is pinned by
 ``GOLDEN_SEARCH_STATS`` in ``tests/smt/test_sat_watches.py``.
 
 Building an encoding hashes no ``Fraction``: atoms are keyed by their
@@ -19,6 +20,7 @@ import pytest
 from repro.analysis.sweeps import spec_for_case
 from repro.core.casestudy import attack_objective_1, attack_objective_2
 from repro.core.verification import UfdiEncoder, verify_attack
+from repro.smt import simplex as simplex_module
 
 COUNTERS = (
     "conflicts",
@@ -43,6 +45,19 @@ SPECS = {
 
 #: outcome and COUNTERS of verify_attack on the default engine
 SEARCH = {
+    "objective1-16-7": ("sat", (22, 75, 5466, 29, 145, 454)),
+    "objective1-15-6": ("unsat", (12, 36, 2700, 13, 68, 287)),
+    "objective2": ("sat", (0, 10, 298, 0, 13, 80)),
+    "objective2-secure46": ("unsat", (2, 1, 264, 0, 4, 64)),
+    "objective2-secure46-topology": ("sat", (2, 17, 352, 3, 28, 87)),
+    "ieee118-state30": ("sat", (0, 231, 3158, 0, 346, 1144)),
+    "ieee30-state8-budget6": ("unsat", (96, 178, 38222, 130, 336, 2864)),
+}
+
+#: the same under Bland's rule alone (``_BLAND_AFTER = 0``): the search
+#: of engine v9, whose entering variable was always the smallest
+#: movable index, so the fallback rule is that engine's search
+SEARCH_BLAND = {
     "objective1-16-7": ("sat", (23, 77, 5497, 32, 148, 496)),
     "objective1-15-6": ("unsat", (12, 31, 2305, 14, 60, 231)),
     "objective2": ("sat", (0, 10, 298, 0, 13, 80)),
@@ -52,7 +67,8 @@ SEARCH = {
     "ieee30-state8-budget6": ("unsat", (106, 168, 41937, 139, 347, 1797)),
 }
 
-#: the SAT witnesses: (measurement_deltas, state_deltas, excluded_lines)
+#: the SAT witnesses: (measurement_deltas, state_deltas, excluded_lines),
+#: the same under both pivot rules
 WITNESSES = {
     "objective1-16-7": (
         {
@@ -104,10 +120,9 @@ WITNESSES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SEARCH))
-def test_verify_search_is_pinned(name):
+def _assert_pinned(name, table):
     result = verify_attack(SPECS[name]())
-    outcome, counters = SEARCH[name]
+    outcome, counters = table[name]
     assert result.outcome.value == outcome
     assert tuple(result.statistics[k] for k in COUNTERS) == counters
     if name not in WITNESSES:
@@ -118,6 +133,17 @@ def test_verify_search_is_pinned(name):
     assert dict(result.attack.state_deltas) == states
     assert set(result.attack.excluded_lines) == excluded
     assert not result.attack.included_lines
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH))
+def test_verify_search_is_pinned(name):
+    _assert_pinned(name, SEARCH)
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_BLAND))
+def test_bland_fallback_is_the_v9_search(name, monkeypatch):
+    monkeypatch.setattr(simplex_module, "_BLAND_AFTER", 0)
+    _assert_pinned(name, SEARCH_BLAND)
 
 
 def _refuse_hash(self):

@@ -114,6 +114,11 @@ class TestConstraints:
         with pytest.raises(ValueError, match=r"excluded buses \[99\]"):
             synthesize_architecture(spec, settings)
 
+    @pytest.mark.parametrize("limit", [0, -1, "10", 2.5, True])
+    def test_max_iterations_must_be_a_positive_int(self, limit):
+        with pytest.raises(ValueError, match="max_iterations must be an integer >= 1"):
+            SynthesisSettings(max_secured_buses=3, max_iterations=limit)
+
     def test_budget_respected(self):
         spec = AttackSpec.default(ieee14(), goal=AttackGoal.any())
         result = synthesize_architecture(spec, SynthesisSettings(max_secured_buses=5))

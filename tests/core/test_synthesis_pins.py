@@ -37,10 +37,10 @@ SCENARIOS = {
     (1, 3, "counterexample", False): (None, None, 9, 8),
     (1, 4, "counterexample", True): ([5, 6, 8, 9], [5, 6, 8, 9], 8, 7),
     (1, 4, "counterexample", False): ([5, 6, 8, 9], None, 8, 7),
-    (2, 3, "counterexample", True): (None, None, 12, 11),
-    (2, 3, "counterexample", False): (None, None, 12, 11),
-    (2, 4, "counterexample", True): ([2, 6, 8, 9], [2, 6, 8, 9], 16, 15),
-    (2, 4, "counterexample", False): ([2, 6, 8, 9], None, 16, 15),
+    (2, 3, "counterexample", True): (None, None, 11, 10),
+    (2, 3, "counterexample", False): (None, None, 11, 10),
+    (2, 4, "counterexample", True): ([2, 6, 8, 9], [2, 6, 8, 9], 13, 12),
+    (2, 4, "counterexample", False): ([2, 6, 8, 9], None, 13, 12),
     (3, 3, "counterexample", True): (None, None, 9, 8),
     (3, 3, "counterexample", False): (None, None, 9, 8),
     (3, 4, "counterexample", True): ([2, 6, 8, 9], [2, 6, 8, 9], 15, 14),
@@ -62,8 +62,8 @@ SINGLE_TARGETS = {
     8: ([1, 6, 7, 14], [1, 6, 7, 14], 7, 6),
     9: ([5, 9], [5, 8, 9], 8, 7),
     10: ([5, 9], [5, 8, 9], 8, 7),
-    11: ([5, 11], [5, 7, 11, 14], 10, 9),
-    12: ([5, 7, 12, 14], [5, 7, 12, 14], 10, 9),
+    11: ([5, 11], [5, 8, 9, 11], 8, 7),
+    12: ([5, 12], [5, 7, 12, 14], 10, 9),
     13: ([5, 9, 13], [5, 8, 9, 13], 8, 7),
     14: ([1, 6, 14], [1, 6, 7, 14], 10, 9),
 }

@@ -133,6 +133,18 @@ class TestValidation:
         assert "excluded buses [99]" in excinfo.value.payload["error"]
         assert handle.app.queue.counters["submitted"] == 0
 
+    @pytest.mark.parametrize("limit", [0, "10"])
+    def test_synthesize_bad_max_iterations_is_400(self, server, limit):
+        handle, client = server
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit_synthesize(
+                make_spec(), budget=3, settings={"max_iterations": limit}
+            )
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["code"] == "bad_request"
+        assert "max_iterations" in excinfo.value.payload["error"]
+        assert handle.app.queue.counters["submitted"] == 0
+
     def test_unknown_job_is_404(self, server):
         _, client = server
         with pytest.raises(ServiceError) as excinfo:

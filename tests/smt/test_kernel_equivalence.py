@@ -10,7 +10,8 @@ both engines with invariant checking enabled (which on the production
 engine also cross-checks the incrementally maintained violated-basic
 set against a full recompute).  The contract must also survive the
 production engine's refactorization sweeps, forced after every pivot,
-and every search configuration the portfolio races.
+and every search configuration the portfolio races, and the pivot
+rule's fallback to Bland's rule.
 """
 
 import random
@@ -337,11 +338,20 @@ class TestRefactorization:
         stats = fast[0].statistics()
         if stats["pivots"] > 0 and stats["refactorizations"] == 0:
             # canonical rows are integer rows over denominator 1; a pivot
-            # on a unit coefficient keeps every denominator at 1, so the
-            # forced sweep had nothing to renormalize
+            # on a unit coefficient keeps every denominator at 1, and one
+            # on another coefficient can leave rows whose denominator
+            # shares no factor with their numerators (seed 13 pivots on
+            # a 3), so the forced sweep had nothing to renormalize: one
+            # more changes no row, denominator or value
             engine = fast[0]._theory.simplex
-            assert set(engine.row_den.values()) <= {1}
-            assert all(t[2] == 1 for t in engine._val)
+            rows = {basic: dict(row) for basic, row in engine.rows.items()}
+            dens = dict(engine.row_den)
+            vals = list(engine._val)
+            engine._refactorize()
+            assert engine.rows == rows
+            assert engine.row_den == dens
+            assert engine._val == vals
+            assert engine.refactorizations == 0
         else:
             assert (stats["refactorizations"] > 0) == (stats["pivots"] > 0)
         assert_bit_identical(solve_with("reference", seed), fast)
@@ -355,6 +365,24 @@ class TestRefactorization:
         trace = replay(engine, rows, ops, nv)
         assert (engine.refactorizations > 0) == (engine.pivots > 0)
         assert trace == replay(ReferenceSimplex(), rows, ops, nv)
+
+
+# ----------------------------------------------------------------------
+# the pivot rule's fallback to Bland's rule
+# ----------------------------------------------------------------------
+@pytest.fixture
+def bland_after_one_pivot(monkeypatch):
+    # at the shipped _BLAND_AFTER no check here makes enough pivots to
+    # fall back; enter by the sparse column only at each check's first
+    # pivot, and by Bland's rule after it
+    monkeypatch.setattr(simplex_module, "_BLAND_AFTER", 1)
+
+
+@pytest.mark.usefixtures("bland_after_one_pivot")
+class TestBlandFallback(
+    TestSolverEquivalence, TestSatConfigs, TestUnsatCores, TestScriptReplay
+):
+    """The bit-identity tests above, with the fallback on both kernels."""
 
 
 # ----------------------------------------------------------------------

@@ -209,7 +209,7 @@ class TestFacadeResolution:
         # existing cache entries are keyed by this exact string
         monkeypatch.delenv("REPRO_THEORY_KERNEL", raising=False)
         monkeypatch.setenv("REPRO_SAT_CONFIG", "geometric@64x1.5/p1/d0.92/s1")
-        assert engine_signature() == "v9/kernel=sparse/cfg=luby@100/p0/d0.95"
+        assert engine_signature() == "v10/kernel=sparse/cfg=luby@100/p0/d0.95"
 
     def test_environment_does_not_switch_theory_propagation(self, monkeypatch):
         # the retired REPRO_THEORY_PROPAGATION variable has no reader
@@ -225,7 +225,7 @@ class TestFacadeResolution:
         # the oracle never propagates, and its signature says nothing else
         monkeypatch.setenv("REPRO_THEORY_KERNEL", "reference")
         monkeypatch.setenv("REPRO_THEORY_PROPAGATION", "1")
-        assert engine_signature() == "v9/kernel=reference/cfg=luby@100/p0/d0.95"
+        assert engine_signature() == "v10/kernel=reference/cfg=luby@100/p0/d0.95"
         assert not Solver()._theory.propagation
 
     def test_solver_statistics_expose_config(self):

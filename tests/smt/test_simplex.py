@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from repro.smt.simplex import DeltaRational, Simplex
+from repro.smt import simplex as simplex_module
+from repro.smt.simplex import DeltaRational, ReferenceSimplex, Simplex
 
 F = Fraction
 
@@ -129,6 +130,61 @@ class TestSimplexBasics:
         assert s.check() is None
         assert s.assign[a] == dr(3)
         assert s.assign[z] == dr(7)
+
+
+class TestPivotRule:
+    """The entering variable has the fewest column entries, ties to the
+    smaller index, until one check has made ``_BLAND_AFTER`` pivots;
+    from then on it is the smallest movable index (Bland's rule)."""
+
+    @staticmethod
+    def tableau(kernel, bodies, nvars):
+        s = kernel()
+        xs = [s.new_var() for _ in range(nvars)]
+        slacks = []
+        for body in bodies:
+            slack = s.new_var()
+            s.add_row(slack, {xs[i]: F(1) for i in body})
+            slacks.append(slack)
+        return s, xs, slacks
+
+    @pytest.mark.parametrize("kernel", (Simplex, ReferenceSimplex))
+    def test_sparsest_column_enters(self, kernel):
+        # x0 is in all three rows, x1 in two, x2 only in s0: Bland's rule
+        # would enter x0, the sparse rule enters x2
+        s, xs, (s0, _, _) = self.tableau(kernel, ((0, 1, 2), (0, 1), (0,)), 3)
+        assert s.assert_lower(s0, dr(1), 1) is None
+        assert s.check() is None
+        assert s.pivots == 1
+        assert xs[2] in s.rows and xs[0] not in s.rows
+
+    @pytest.mark.parametrize("kernel", (Simplex, ReferenceSimplex))
+    def test_ties_go_to_the_smaller_index(self, kernel):
+        # x1 and x2 are in two rows each, x0 in three
+        s, xs, (s0, _, _) = self.tableau(kernel, ((0, 1, 2), (0, 1), (0, 2)), 3)
+        assert s.assert_lower(s0, dr(1), 1) is None
+        assert s.check() is None
+        assert s.pivots == 1
+        assert xs[1] in s.rows and xs[2] not in s.rows
+
+    @pytest.mark.parametrize("kernel", (Simplex, ReferenceSimplex))
+    @pytest.mark.parametrize(
+        "bland_after, entered",
+        # one check makes two pivots: s0 by x0 or x2, then s1 by x1 or
+        # x3, where x2 and x3 are the sparse columns
+        ((50, (2, 3)), (2, (2, 3)), (1, (2, 1)), (0, (0, 1))),
+    )
+    def test_bland_rule_after_the_pivot_budget(
+        self, kernel, bland_after, entered, monkeypatch
+    ):
+        monkeypatch.setattr(simplex_module, "_BLAND_AFTER", bland_after)
+        s, xs, (s0, s1, _) = self.tableau(kernel, ((0, 2), (1, 3), (0, 1)), 4)
+        assert s.assert_lower(s0, dr(1), 1) is None
+        assert s.assert_lower(s1, dr(1), 2) is None
+        assert s.check() is None
+        assert s.pivots == 2
+        assert {x for x in xs if x in s.rows} == {xs[i] for i in entered}
+        s.check_invariants()
 
 
 class TestAgainstLinprog:
