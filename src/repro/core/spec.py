@@ -88,6 +88,16 @@ class ResourceLimits:
     max_measurements: Optional[int] = None
     max_buses: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        for name in ("max_measurements", "max_buses"):
+            limit = getattr(self, name)
+            if limit is not None and (
+                type(limit) is bool or not isinstance(limit, int) or limit < 0
+            ):
+                raise ValueError(
+                    f"{name} must be None or an integer >= 0, not {limit!r}"
+                )
+
 
 @dataclass(frozen=True)
 class AttackSpec:
@@ -119,14 +129,19 @@ class AttackSpec:
             raise ValueError("plan.grid must match the spec's grid")
         if not 1 <= self.reference_bus <= self.grid.num_buses:
             raise ValueError(f"reference bus {self.reference_bus} out of range")
-        for bus in self.goal.target_states:
+        self.check_goal(self.goal)
+        for i in self.line_attrs:
+            if not 1 <= i <= self.grid.num_lines:
+                raise ValueError(f"line attribute for unknown line {i}")
+
+    def check_goal(self, goal: AttackGoal) -> None:
+        """Raise ValueError unless every target state of ``goal`` is a
+        bus of the grid other than the reference bus."""
+        for bus in goal.target_states:
             if not 1 <= bus <= self.grid.num_buses:
                 raise ValueError(f"target state {bus} out of range")
             if bus == self.reference_bus:
                 raise ValueError("the reference bus's state cannot be a target")
-        for i in self.line_attrs:
-            if not 1 <= i <= self.grid.num_lines:
-                raise ValueError(f"line attribute for unknown line {i}")
 
     # ------------------------------------------------------------------
     # accessors with defaults

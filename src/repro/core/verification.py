@@ -431,6 +431,8 @@ class UfdiEncoder:
         if goal is not None and not self.symbolic_goal:
             raise RuntimeError("goal overrides require symbolic_goal=True")
         if self.symbolic_goal:
+            if goal is not None:
+                self.spec.check_goal(goal)
             active = self.spec.goal if goal is None else goal
             if active.distinct_pairs != self.spec.goal.distinct_pairs:
                 raise ValueError(

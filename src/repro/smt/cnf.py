@@ -42,13 +42,25 @@ Row = Tuple[Tuple[int, int], ...]
 # bound.
 CanonicalAtom = Tuple[Row, str, Fraction]
 
+# the term classes literal_for() converts
+_TERM_KINDS = (Atom, Not, Or, And, BoolVar, BoolConst)
+
 
 def canonical_form(expr: LinExpr) -> Tuple[Row, Fraction]:
     """The primitive integer row of a linear form, and its scale.
 
     Returns ``(row, scale)`` with ``row == scale * expr``; ``scale`` is
-    negative when the form's first coefficient is.  Computed once per
-    expression and cached on it (a :class:`LinExpr` is immutable).
+    negative when the form's first coefficient is.
+    """
+    row, num, den = _primitive_row(expr)
+    return row, Fraction(num, den)
+
+
+def _primitive_row(expr: LinExpr) -> Tuple[Row, int, int]:
+    """:func:`canonical_form` with the scale as ``num, den`` (``den > 0``).
+
+    Computed once per expression and cached on it (a :class:`LinExpr`
+    is immutable).
     """
     form = expr._form
     if form is not None:
@@ -68,7 +80,7 @@ def canonical_form(expr: LinExpr) -> Tuple[Row, Fraction]:
     if nums[0] < 0:
         g = -g
     row = tuple((var, num // g) for (var, _), num in zip(items, nums))
-    form = expr._form = (row, Fraction(den, g))
+    form = expr._form = (row, den, g) if g > 0 else (row, -den, -g)
     return form
 
 
@@ -78,15 +90,28 @@ def canonicalize_atom(atom: Atom) -> CanonicalAtom:
     The linear form becomes its primitive integer row and the bound is
     scaled with it; a negative scale flips the operator.
     """
-    row, scale = canonical_form(atom.expr)
+    row, op, num, den = _atom_key(atom)
+    return (row, op, Fraction(num, den))
+
+
+def _atom_key(atom: Atom) -> Tuple[Row, str, int, int]:
+    """:func:`canonicalize_atom` in integers: the bound as its reduced
+    numerator and positive denominator, so keying an atom builds and
+    hashes no ``Fraction``."""
+    row, scale_num, scale_den = _primitive_row(atom.expr)
     op = atom.op
     bound = atom.bound
-    if scale != 1:
-        if scale < 0:
-            op = ">=" if op == "<=" else "<="
-        if bound:
-            bound = bound * scale
-    return (row, op, bound)
+    num = bound.numerator
+    den = bound.denominator
+    if scale_num < 0:
+        op = ">=" if op == "<=" else "<="
+    if num and (scale_num != 1 or scale_den != 1):
+        num *= scale_num
+        den *= scale_den
+        g = gcd(num, den)
+        num //= g
+        den //= g
+    return (row, op, num, den)
 
 
 class CnfBuilder:
@@ -100,6 +125,10 @@ class CnfBuilder:
         # mirror backend; the SAT solver mutates its own copies)
         self.clauses: List[List[int]] = []
         self._hook = add_clause
+        #: atoms that :meth:`var_for_atom` created and no clause has
+        #: mentioned yet (sat var -> canonical atom); the hook's owner
+        #: drains it as the clauses reach it
+        self.new_atoms: Dict[int, CanonicalAtom] = {}
         self._emit([self.TRUE_LIT])
         self._bool_vars: Dict[int, int] = {}  # BoolVar.index -> sat var
         # (row, op, bound numerator, bound denominator) -> sat var
@@ -113,9 +142,10 @@ class CnfBuilder:
         return self.num_vars
 
     def _emit(self, lits: List[int]) -> None:
-        self.clauses.append(list(lits))
+        # takes over a fresh list: the hook only reads it
+        self.clauses.append(lits)
         if self._hook is not None:
-            self._hook(list(lits))
+            self._hook(lits)
 
     def add_clause(self, lits: List[int]) -> None:
         self._emit(list(lits))
@@ -131,9 +161,7 @@ class CnfBuilder:
         return sat
 
     def var_for_atom(self, atom: Atom) -> int:
-        canonical = canonicalize_atom(atom)
-        row, op, bound = canonical
-        key = (row, op, bound.numerator, bound.denominator)
+        key = _atom_key(atom)
         sat = self._atoms.get(key)
         if sat is None:
             # The complementary operator over the same form is a *distinct*
@@ -141,47 +169,61 @@ class CnfBuilder:
             # same slack and resolves interactions semantically.
             sat = self.new_var()
             self._atoms[key] = sat
+            row, op, num, den = key
+            canonical = (row, op, Fraction(num, den))
             self.atom_of_var[sat] = canonical
+            self.new_atoms[sat] = canonical
         return sat
 
     def literal_for(self, term: BoolTerm) -> int:
         """Return a SAT literal equivalent to ``term`` (adding gate clauses)."""
-        if isinstance(term, BoolConst):
-            return self.TRUE_LIT if term.value else -self.TRUE_LIT
-        if isinstance(term, BoolVar):
-            return self.var_for_bool(term)
-        if isinstance(term, Atom):
+        kind = type(term)
+        if kind not in _TERM_KINDS:  # a subclass
+            kind = next((k for k in _TERM_KINDS if isinstance(term, k)), None)
+            if kind is None:
+                raise TypeError(f"cannot convert {term!r} to CNF")
+        if kind is Atom:
             return self.var_for_atom(term)
-        if isinstance(term, Not):
+        if kind is Not:
             return -self.literal_for(term.arg)
-        if isinstance(term, And):
-            return self._gate("and", sorted(self.literal_for(a) for a in term.args))
-        if isinstance(term, Or):
-            return self._gate("or", sorted(self.literal_for(a) for a in term.args))
-        raise TypeError(f"cannot convert {term!r} to CNF")
+        if kind is Or or kind is And:
+            lits = [self.literal_for(a) for a in term.args]
+            lits.sort()
+            return self._gate("or" if kind is Or else "and", lits)
+        if kind is BoolVar:
+            return self.var_for_bool(term)
+        return self.TRUE_LIT if term.value else -self.TRUE_LIT
+
+    def _fold(self, lits: List[int], absorbing: int) -> Optional[List[int]]:
+        """The literals of a connective without duplicates and without the
+        neutral ``-absorbing``, in first-occurrence order; None when it
+        collapses to ``absorbing`` (one occurs, or two complementary
+        literals do).
+
+        One pass with a set: a list scan instead would do no set work on
+        two literals, but goes quadratic on an any-state disjunction
+        (999 literals on synthetic1000).
+        """
+        out: List[int] = []
+        seen = set()
+        for lit in lits:
+            if lit in seen:
+                continue
+            if lit == absorbing or -lit in seen:
+                return None
+            seen.add(lit)
+            if lit != -absorbing:
+                out.append(lit)
+        return out
 
     def _gate(self, kind: str, child_lits: List[int]) -> int:
-        lits = tuple(child_lits)
-        lit_set = set(lits)
-        has_complement = any(-l in lit_set for l in lit_set)
-        if kind == "and":
-            # fold constants / duplicates
-            if -self.TRUE_LIT in lit_set or has_complement:
-                return -self.TRUE_LIT
-            lits = tuple(l for l in dict.fromkeys(lits) if l != self.TRUE_LIT)
-            if not lits:
-                return self.TRUE_LIT
-            if len(lits) == 1:
-                return lits[0]
-        else:
-            if self.TRUE_LIT in lit_set or has_complement:
-                return self.TRUE_LIT
-            lits = tuple(l for l in dict.fromkeys(lits) if l != -self.TRUE_LIT)
-            if not lits:
-                return -self.TRUE_LIT
-            if len(lits) == 1:
-                return lits[0]
-        key = (kind, lits)
+        absorbing = -self.TRUE_LIT if kind == "and" else self.TRUE_LIT
+        lits = self._fold(child_lits, absorbing)
+        if lits is None:
+            return absorbing
+        if len(lits) < 2:
+            return lits[0] if lits else -absorbing
+        key = (kind, tuple(lits))
         gate = self._gates.get(key)
         if gate is not None:
             return gate
@@ -189,12 +231,12 @@ class CnfBuilder:
         self._gates[key] = gate
         if kind == "and":
             for lit in lits:
-                self.add_clause([-gate, lit])
-            self.add_clause([gate] + [-l for l in lits])
+                self._emit([-gate, lit])
+            self._emit([gate] + [-l for l in lits])
         else:
             for lit in lits:
-                self.add_clause([-lit, gate])
-            self.add_clause([-gate] + list(lits))
+                self._emit([-lit, gate])
+            self._emit([-gate, *lits])
         return gate
 
     # ------------------------------------------------------------------
@@ -211,13 +253,11 @@ class CnfBuilder:
                 self.assert_term(arg, guard)
             return
         if isinstance(term, Or):
-            lits = [self.literal_for(a) for a in term.args]
-            lit_set = set(lits)
-            if self.TRUE_LIT in lit_set or any(-l in lit_set for l in lit_set):
-                return
-            self.add_clause(extra + [l for l in dict.fromkeys(lits) if l != -self.TRUE_LIT])
+            lits = self._fold([self.literal_for(a) for a in term.args], self.TRUE_LIT)
+            if lits is not None:
+                self._emit(extra + lits)
             return
         lit = self.literal_for(term)
         if lit == self.TRUE_LIT and guard is None:
             return
-        self.add_clause(extra + [lit])
+        self._emit(extra + [lit])

@@ -310,6 +310,7 @@ class SatSolver:
     # ------------------------------------------------------------------
     def new_var(self) -> int:
         self.num_vars += 1
+        var = self.num_vars
         self.watches.append([])
         self.watches.append([])
         self.assign.append(0)
@@ -317,12 +318,11 @@ class SatSolver:
         self.reason.append(None)
         # the perturbation is far below any VSIDS bump, so it only
         # decides ties between otherwise equal-activity variables
-        self.activity.append(
-            self._rng.random() * 1e-6 if self._rng is not None else 0.0
-        )
+        activity = self._rng.random() * 1e-6 if self._rng is not None else 0.0
+        self.activity.append(activity)
         self.saved_phase.append(self.default_phase)
-        self._heap_push(self.num_vars)
-        return self.num_vars
+        heapq.heappush(self._heap, (-activity, var))  # _heap_push, inlined
+        return var
 
     def ensure_vars(self, count: int) -> None:
         while self.num_vars < count:
@@ -342,20 +342,26 @@ class SatSolver:
         """
         if not self.ok:
             return False
-        assert self.decision_level() == 0, "clauses must be added at level 0"
+        assert not self.trail_lim, "clauses must be added at level 0"
+        # every encoded clause passes through here, so ensure_vars(),
+        # value() and the watch index are inlined
+        assign = self.assign
+        num_vars = self.num_vars
         seen = set()
         out: List[int] = []
         for lit in lits:
-            var = abs(lit)
-            self.ensure_vars(var)
+            var = lit if lit > 0 else -lit
+            if var > num_vars:
+                self.ensure_vars(var)
+                num_vars = var
             if -lit in seen:
                 return True  # tautology
             if lit in seen:
                 continue
-            val = self.value(lit)
-            if val == 1:
-                return True  # already satisfied at level 0
-            if val == -1:
+            val = assign[var]
+            if val:
+                if (val > 0) == (lit > 0):
+                    return True  # already satisfied at level 0
                 continue  # falsified at level 0; drop literal
             seen.add(lit)
             out.append(lit)
@@ -369,7 +375,10 @@ class SatSolver:
         # spare capacity, which adds up over ~10^5 clauses on large grids
         stored = list(out)
         self.clauses.append(stored)
-        self._watch(stored)
+        first, second = stored[0], stored[1]
+        watches = self.watches
+        watches[(first << 1 | 1) if first > 0 else (-first << 1)].append(stored)
+        watches[(second << 1 | 1) if second > 0 else (-second << 1)].append(stored)
         return True
 
     def _watch_index(self, lit: int) -> int:

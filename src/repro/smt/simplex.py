@@ -317,9 +317,13 @@ class Simplex:
         else:
             row, den = self._integer_row(coeffs)
         value = T_ZERO
+        vals = self._val
+        cols = self.cols
         for var, num in row.items():
-            value = _tadd(value, _tscale(self._val[var], num, 1))
-            self.cols[var].add(slack)
+            # adding a T_ZERO term leaves the sum's triple as it is
+            if vals[var] != T_ZERO:
+                value = _tadd(value, _tscale(vals[var], num, 1))
+            cols[var].add(slack)
         self.rows[slack] = row
         self.row_den[slack] = den
         self._val[slack] = _tscale(value, 1, den)
@@ -802,27 +806,28 @@ class Simplex:
         """Concretize delta-rationals into plain rationals.
 
         Chooses a positive rational value for delta small enough that
-        all asserted bounds remain satisfied.  Runs over exact Fractions
-        (cold path) with the same delta-selection rule as the reference
-        engine, so models are bit-identical.
+        all asserted bounds remain satisfied, by the reference engine's
+        rule, so models are bit-identical.  Delta is found on the
+        integer triples, and each value is then one ``Fraction``.
         """
-        delta = Fraction(1)
-        vals = [_delta_of(t) for t in self._val]
-        lows = [None if t is None else _delta_of(t) for t in self._lb]
-        highs = [None if t is None else _delta_of(t) for t in self._ub]
-        for var in range(self.num_vars):
-            val = vals[var]
-            for bound, is_lower in ((lows[var], True), (highs[var], False)):
+        # delta = dn/dd, the least (diff_r / -diff_k) / 2 over the bounds
+        # whose slack diff_r + diff_k*delta shrinks as delta grows
+        dn = dd = 1
+        vals = self._val
+        for bounds, sign in ((self._lb, 1), (self._ub, -1)):
+            for var, bound in enumerate(bounds):
                 if bound is None:
                     continue
-                diff_r = val.r - bound.r if is_lower else bound.r - val.r
-                diff_k = val.k - bound.k if is_lower else bound.k - val.k
-                # need diff_r + diff_k * delta >= 0
+                rn, kn, d = vals[var]
+                bn, bk, bd = bound
+                # sign * (value - bound), both parts over d * bd
+                diff_k = sign * (kn * bd - bk * d)
                 if diff_k < 0:
+                    diff_r = sign * (rn * bd - bn * d)
                     assert diff_r >= 0, "bound violated at concretization"
-                    if diff_r > 0:
-                        delta = min(delta, Fraction(diff_r, -diff_k) / 2)
-        return [vals[var].concretize(delta) for var in range(self.num_vars)]
+                    if diff_r > 0 and diff_r * dd < -2 * diff_k * dn:
+                        dn, dd = diff_r, -2 * diff_k
+        return [Fraction(rn * dd + kn * dn, d * dd) for rn, kn, d in vals]
 
 
 class ReferenceSimplex:

@@ -146,7 +146,11 @@ class Solver:
         )
         self._sat.theory = self._theory
         self._lattice_lemmas = 0
+        # the builder's new-atom map; CnfBuilder.__init__ emits the
+        # TRUE unit clause, which has no atoms, before it is bound
+        self._new_atoms: Dict[int, tuple] = {}
         self._cnf = CnfBuilder(add_clause=self._install_clause)
+        self._new_atoms = self._cnf.new_atoms
         self._next_bool = 0
         self._next_real = 0
         self._bool_vars: List[BoolVar] = []
@@ -159,7 +163,7 @@ class Solver:
         # last UNSAT check's failed assumptions, as passed by the caller
         self._core: List[Union[BoolTerm, int]] = []
         # atoms grouped by canonical linear form, for lattice lemmas:
-        # primitive integer row -> list of (op, bound, sat var)
+        # primitive integer row -> list of (op, bound num, bound den, sat var)
         self._atoms_by_form: Dict[tuple, List[tuple]] = {}
 
     def set_profile(self, enabled: bool = True) -> None:
@@ -218,21 +222,23 @@ class Solver:
     # clause plumbing
     # ------------------------------------------------------------------
     def _install_clause(self, lits: List[int]) -> None:
-        # clear any leftover search state first: new atoms may install
-        # simplex rows, which requires an empty bound trail
-        self._sat.cancel_until(0)
-        self._register_new_atoms(lits)
-        self._sat.add_clause(lits)
+        sat = self._sat
+        if sat.trail_lim:
+            # clear any leftover search state first: new atoms may
+            # install simplex rows, which requires an empty bound trail
+            sat.cancel_until(0)
+        if self._new_atoms:
+            self._register_new_atoms(lits)
+        sat.add_clause(lits)
 
     def _register_new_atoms(self, lits: Iterable[int]) -> None:
-        # CnfBuilder.__init__ emits the TRUE-literal unit clause before
-        # the attribute assignment completes; that clause has no atoms.
-        if getattr(self, "_cnf", None) is None:
-            return
+        """Hand the theory, in literal order, each atom of ``lits`` that
+        no earlier clause or assumption mentioned."""
+        new_atoms = self._new_atoms
         for lit in lits:
-            var = abs(lit)
-            atom = self._cnf.atom_of_var.get(var)
-            if atom is not None and var not in self._theory._atom_map:
+            var = lit if lit > 0 else -lit
+            atom = new_atoms.pop(var, None)
+            if atom is not None:
                 self._theory.register_atom(var, atom)
                 if self._theory.propagation:
                     # propagation may entail this atom even when no clause
@@ -253,29 +259,36 @@ class Solver:
         (``cz <-> delta != 0`` clusters 4+ atoms per form).
         """
         row, op, bound = atom
+        num = bound.numerator
+        den = bound.denominator
         siblings = self._atoms_by_form.setdefault(row, [])
-        for other_op, other_bound, other_var in siblings:
+        for other_op, other_num, other_den, other_var in siblings:
             if other_var == sat_var:
                 continue
             self._lattice_lemmas += 1
+            # the two bounds cross-multiplied (denominators are positive)
+            mine = num * other_den
+            other = other_num * den
             if op == "<=" and other_op == "<=":
-                if bound <= other_bound:
+                if mine <= other:
                     self._install_clause([-sat_var, other_var])
                 else:
                     self._install_clause([-other_var, sat_var])
             elif op == ">=" and other_op == ">=":
-                if bound <= other_bound:
+                if mine <= other:
                     self._install_clause([-other_var, sat_var])
                 else:
                     self._install_clause([-sat_var, other_var])
-            else:
-                le_b, le_v = (bound, sat_var) if op == "<=" else (other_bound, other_var)
-                ge_b, ge_v = (bound, sat_var) if op == ">=" else (other_bound, other_var)
-                if le_b < ge_b:
-                    self._install_clause([-le_v, -ge_v])
+            elif op == "<=":
+                if mine < other:
+                    self._install_clause([-sat_var, -other_var])
                 else:
-                    self._install_clause([le_v, ge_v])
-        siblings.append((op, bound, sat_var))
+                    self._install_clause([sat_var, other_var])
+            elif other < mine:
+                self._install_clause([-other_var, -sat_var])
+            else:
+                self._install_clause([other_var, sat_var])
+        siblings.append((op, num, den, sat_var))
 
     def _guarded(self, lits: List[int]) -> List[int]:
         if self._guards:

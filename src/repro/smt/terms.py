@@ -25,6 +25,9 @@ from typing import Iterable, Mapping, Union
 
 Number = Union[int, float, Fraction]
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 def to_fraction(value: Number) -> Fraction:
     """Convert a number to an exact :class:`Fraction`.
@@ -58,7 +61,7 @@ class RealVar:
 
     # Arithmetic sugar delegates to LinExpr.
     def _expr(self) -> "LinExpr":
-        return LinExpr({self.index: Fraction(1)}, Fraction(0))
+        return LinExpr({self.index: _ONE}, _ZERO)
 
     def __add__(self, other):
         return self._expr() + other
@@ -92,7 +95,7 @@ class LinExpr:
     __slots__ = ("coeffs", "const", "_form")
 
     def __init__(self, coeffs: Mapping[int, Fraction], const: Fraction) -> None:
-        self.coeffs = {v: c for v, c in coeffs.items() if c != 0}
+        self.coeffs = {v: c for v, c in coeffs.items() if c}
         self.const = const
         self._form = None
 
@@ -136,7 +139,7 @@ class LinExpr:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self * -1
+        return LinExpr({v: -c for v, c in self.coeffs.items()}, -self.const)
 
     def __repr__(self) -> str:
         parts = [f"{c}*x{v}" for v, c in sorted(self.coeffs.items())]
@@ -211,6 +214,12 @@ class _Nary(BoolTerm):
     __slots__ = ("args",)
 
     def __init__(self, *args: BoolTerm) -> None:
+        for arg in args:
+            if not isinstance(arg, BoolTerm):
+                break
+        else:
+            self.args = args
+            return
         flattened = []
         for arg in args:
             if isinstance(arg, (list, tuple)):
@@ -250,7 +259,7 @@ class Atom(BoolTerm):
             raise ValueError(f"unsupported atom operator {op!r}")
         self.op = op
         if expr.const:
-            self.expr = LinExpr(expr.coeffs, Fraction(0))
+            self.expr = LinExpr(expr.coeffs, _ZERO)
             self.bound = bound - expr.const
         else:
             self.expr = expr
@@ -260,27 +269,37 @@ class Atom(BoolTerm):
         return f"Atom({self.expr!r} {self.op} {self.bound})"
 
 
+def _le(e: LinExpr, b: Fraction) -> BoolTerm:
+    if e.coeffs:
+        return Atom(e, "<=", b)
+    return TRUE if e.const <= b else FALSE
+
+
+def _ge(e: LinExpr, b: Fraction) -> BoolTerm:
+    if e.coeffs:
+        return Atom(e, ">=", b)
+    return TRUE if e.const >= b else FALSE
+
+
 def le(expr, bound: Number = 0) -> BoolTerm:
     """``expr <= bound``.  Constant expressions fold to TRUE/FALSE."""
-    e = LinExpr.of(expr)
-    b = to_fraction(bound)
-    if e.is_constant():
-        return TRUE if e.const <= b else FALSE
-    return Atom(e, "<=", b)
+    return _le(LinExpr.of(expr), to_fraction(bound))
 
 
 def ge(expr, bound: Number = 0) -> BoolTerm:
     """``expr >= bound``.  Constant expressions fold to TRUE/FALSE."""
-    e = LinExpr.of(expr)
-    b = to_fraction(bound)
-    if e.is_constant():
-        return TRUE if e.const >= b else FALSE
-    return Atom(e, ">=", b)
+    return _ge(LinExpr.of(expr), to_fraction(bound))
 
 
 def eq(expr, bound: Number = 0) -> BoolTerm:
-    """``expr == bound`` as the conjunction of the two weak inequalities."""
-    return And(le(expr, bound), ge(expr, bound))
+    """``expr == bound`` as the conjunction of the two weak inequalities.
+
+    Both atoms share one expression, so its canonical form is computed
+    once.
+    """
+    e = LinExpr.of(expr)
+    b = to_fraction(bound)
+    return And(_le(e, b), _ge(e, b))
 
 
 def neq_with_eps(expr, eps: Number) -> BoolTerm:
@@ -293,7 +312,8 @@ def neq_with_eps(expr, eps: Number) -> BoolTerm:
     e = to_fraction(eps)
     if e <= 0:
         raise ValueError("eps must be positive")
-    return Or(le(expr, -e), ge(expr, e))
+    form = LinExpr.of(expr)
+    return Or(_le(form, -e), _ge(form, e))
 
 
 def implies(antecedent: BoolTerm, consequent: BoolTerm) -> BoolTerm:

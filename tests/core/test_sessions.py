@@ -109,6 +109,17 @@ class TestSessionFamilies:
             session.probe(goal=probing)
 
 
+    @pytest.mark.parametrize(
+        "bus, reason", [(1, "reference bus"), (99, "target state 99 out of range")]
+    )
+    def test_goal_override_is_checked_like_a_spec_goal(self, bus, reason):
+        session = VerificationSession(AttackSpec.default(ieee14(), goal=AttackGoal.states(5)))
+        with pytest.raises(ValueError, match=reason):
+            session.probe(goal=AttackGoal.states(bus))
+        with pytest.raises(ValueError, match=reason):
+            session.spec.with_goal(AttackGoal.states(bus))
+
+
 class TestEncoderModes:
     def test_budget_override_requires_symbolic_mode(self):
         spec = AttackSpec.default(path_grid(3), goal=AttackGoal.states(3))

@@ -63,6 +63,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="reference"):
             AttackSpec.default(ieee14(), goal=AttackGoal.states(1))
 
+    @pytest.mark.parametrize("name", ["max_measurements", "max_buses"])
+    @pytest.mark.parametrize("limit", [-1, True, 2.0, "3"])
+    def test_limits_must_be_nonnegative_ints(self, name, limit):
+        with pytest.raises(ValueError, match=f"{name} must be None or an integer >= 0"):
+            ResourceLimits(**{name: limit})
+
+    @pytest.mark.parametrize("limit", [None, 0, 7])
+    def test_limits_accept_none_and_nonnegative_ints(self, limit):
+        limits = ResourceLimits(max_measurements=limit, max_buses=limit)
+        assert limits.max_measurements == limits.max_buses == limit
+
     def test_unknown_line_attr(self):
         with pytest.raises(ValueError, match="unknown line"):
             AttackSpec.default(ieee14(), line_attrs={99: LineAttributes()})

@@ -19,6 +19,7 @@ from repro.core.io import write_spec
 from repro.core.spec import AttackGoal, AttackSpec, ResourceLimits
 from repro.grid.cases import ieee14
 from repro.runtime import ResultCache, RuntimeOptions
+from repro.runtime.serialize import spec_to_payload
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.http import start_in_thread
 from repro.service.jobs import JobState
@@ -143,6 +144,25 @@ class TestValidation:
         assert excinfo.value.status == 400
         assert excinfo.value.payload["code"] == "bad_request"
         assert "max_iterations" in excinfo.value.payload["error"]
+        assert handle.app.queue.counters["submitted"] == 0
+
+    @pytest.mark.parametrize("form", ["spec_text", "spec"])
+    def test_verify_negative_limit_is_400(self, server, form):
+        # a client's error, not a job that fails and is retried as a 500
+        handle, client = server
+        if form == "spec_text":
+            body = {"spec_text": write_spec(make_spec()) + "limit measurements -1\n"}
+        else:
+            payload = spec_to_payload(make_spec())
+            payload["limits"] = [-1, None]
+            body = {"spec": payload}
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/v1/verify", body)
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["code"] == "bad_request"
+        assert "max_measurements must be None or an integer >= 0" in (
+            excinfo.value.payload["error"]
+        )
         assert handle.app.queue.counters["submitted"] == 0
 
     def test_unknown_job_is_404(self, server):

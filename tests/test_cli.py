@@ -96,7 +96,10 @@ class TestSynthesize:
         if rc == 0:
             import re
 
-            buses = [int(tok) for tok in re.findall(r"\d+", out.split("]")[0])]
+            # read the architecture's list only: the summary line before
+            # it carries the run time, whose digits are no bus numbers
+            listed = out.split("secure buses", 1)[1].split("]")[0]
+            buses = [int(tok) for tok in re.findall(r"\d+", listed)]
             assert 6 not in buses and 12 not in buses
 
 
@@ -219,6 +222,18 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"repro: error: {path}: line 2: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["verify", "mincost"])
+    def test_negative_limit_in_spec_file(self, command, spec_file, tmp_path, capsys):
+        path = tmp_path / "negative.spec"
+        path.write_text(Path(spec_file).read_text() + "limit measurements -1\n")
+        assert main([command, str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"repro: error: {path}: "
+            "max_measurements must be None or an integer >= 0, not -1\n"
+        )
+        assert captured.out == ""
 
     def test_negative_budget_rejected_by_parser(self, spec_file, capsys):
         with pytest.raises(SystemExit) as exc:
